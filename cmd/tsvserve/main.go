@@ -33,7 +33,6 @@ import (
 	"log"
 	"net/http"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -55,16 +54,8 @@ func main() {
 		walDir      = flag.String("wal", "", "journal directory for crash-safe sessions (empty = sessions die with the process)")
 		snapEvery   = flag.Int("snapshot-every", 8, "edit batches between placement snapshots")
 		shedDepth   = flag.Int("shed-depth", 0, "admission-queue depth that triggers full→ls degradation (0 = 2×max-inflight)")
-		workers     = flag.String("workers", "", "comma-separated tsvworker addresses; full-mode session flushes are sharded across them (empty = evaluate in-process)")
 	)
 	flag.Parse()
-
-	var workerAddrs []string
-	for _, a := range strings.Split(*workers, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			workerAddrs = append(workerAddrs, a)
-		}
-	}
 
 	s := serve.NewServer(serve.Options{
 		MaxSessions:     *maxSessions,
@@ -76,11 +67,7 @@ func main() {
 		MaxLiveSessions: *maxLive,
 		SnapshotEvery:   *snapEvery,
 		ShedQueueDepth:  *shedDepth,
-		ClusterWorkers:  workerAddrs,
 	})
-	if len(workerAddrs) > 0 {
-		log.Printf("cluster mode: sharding flushes across %d worker(s)", len(workerAddrs))
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

@@ -2,8 +2,7 @@
 // cluster (DESIGN.md §14). A worker is stateless from the operator's
 // point of view: it holds per-job analyzers only as a cache, and a
 // coordinator that loses a worker simply re-ships the job to another
-// one. Start a fleet, then point tsvexp -cluster or tsvserve -workers
-// at the addresses:
+// one. Start a fleet, then point tsvexp -cluster at the addresses:
 //
 //	tsvworker -addr :9101 &
 //	tsvworker -addr :9102 &

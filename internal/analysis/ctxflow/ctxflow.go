@@ -17,9 +17,8 @@
 //     notifications) is out of scope by construction.
 //
 // Test files are exempt. Reachability is static-call reachability —
-// dynamic dispatch does not propagate — so interface seams like
-// incr.TileEvaluator rely on their concrete implementations being
-// scoped too (cluster.SessionEvaluator is).
+// dynamic dispatch does not propagate — so an interface seam on a
+// request path relies on its concrete implementations being scoped too.
 package ctxflow
 
 import (

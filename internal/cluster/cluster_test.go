@@ -10,7 +10,6 @@ import (
 	"tsvstress/internal/core"
 	"tsvstress/internal/faultinject"
 	"tsvstress/internal/geom"
-	"tsvstress/internal/incr"
 	"tsvstress/internal/material"
 	"tsvstress/internal/placegen"
 	"tsvstress/internal/tensor"
@@ -118,8 +117,7 @@ func TestClusterMapParity(t *testing.T) {
 	}
 }
 
-// TestClusterMapModes pins parity for the cheaper modes too (a degraded
-// serve flush ships ModeLS assignments over the same job).
+// TestClusterMapModes pins parity for the cheaper modes too.
 func TestClusterMapModes(t *testing.T) {
 	fx := newFixture(t, 60, 2)
 	_, c := startCluster(t, 2, 0)
@@ -241,112 +239,13 @@ func TestClusterNoWorkers(t *testing.T) {
 	}
 }
 
-// TestSessionEvaluatorParity runs the same ECO session twice — one
-// engine in-process, one flushing through the cluster — and requires
-// identical maps after every flush. This exercises the epoch bump and
-// the worker-side Rebuild (placement-only re-init) across edits.
-func TestSessionEvaluatorParity(t *testing.T) {
-	fx := newFixture(t, 60, 2)
-	_, c := startCluster(t, 2, 0)
-	ctx := context.Background()
-
-	local, err := incr.New(ctx, fx.st, fx.pl, fx.pts, core.ModeFull, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clustered, err := incr.New(ctx, fx.st, fx.pl, fx.pts, core.ModeFull, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := c.NewSessionEvaluator()
-	ev.OnFallback = func(err error) { t.Errorf("unexpected local fallback: %v", err) }
-	defer ev.Close()
-	clustered.SetTileEvaluator(ev)
-
-	far := fx.pl.Bounds(0).Max
-	edits := []geom.Edit{
-		{Op: geom.EditMove, Index: 0, TSV: geom.TSV{Center: geom.Pt(far.X+20, far.Y+20)}},
-		{Op: geom.EditAdd, TSV: geom.TSV{Center: geom.Pt(far.X+40, far.Y+40)}},
-		{Op: geom.EditRemove, Index: 5},
-	}
-	for i, ed := range edits {
-		if err := local.Apply(ed); err != nil {
-			t.Fatalf("edit %d: %v", i, err)
-		}
-		if err := clustered.Apply(ed); err != nil {
-			t.Fatalf("edit %d: %v", i, err)
-		}
-		wantVals, err := local.Flush(ctx)
-		if err != nil {
-			t.Fatalf("edit %d: local flush: %v", i, err)
-		}
-		gotVals, err := clustered.Flush(ctx)
-		if err != nil {
-			t.Fatalf("edit %d: clustered flush: %v", i, err)
-		}
-		for p := range gotVals {
-			if gotVals[p] != wantVals[p] {
-				t.Fatalf("edit %d: point %d: clustered %+v != local %+v", i, p, gotVals[p], wantVals[p])
-			}
-		}
-	}
-}
-
-// TestSessionEvaluatorFallback pins the correctness-first degradation:
-// with the whole fleet dead, a flush falls back to the in-process
-// analyzer, reports the cluster error through OnFallback, and still
-// produces the exact map.
-func TestSessionEvaluatorFallback(t *testing.T) {
-	fx := newFixture(t, 40, 2.5)
-	lw, c := startCluster(t, 2, 0)
-	ctx := context.Background()
-
-	eng, err := incr.New(ctx, fx.st, fx.pl, fx.pts, core.ModeFull, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := incr.New(ctx, fx.st, fx.pl, fx.pts, core.ModeFull, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := c.NewSessionEvaluator()
-	fellBack := 0
-	ev.OnFallback = func(error) { fellBack++ }
-	defer ev.Close()
-	eng.SetTileEvaluator(ev)
-	lw.Stop()
-
-	far := fx.pl.Bounds(0).Max
-	ed := geom.Edit{Op: geom.EditMove, Index: 1, TSV: geom.TSV{Center: geom.Pt(far.X+15, far.Y+15)}}
-	if err := eng.Apply(ed); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Apply(ed); err != nil {
-		t.Fatal(err)
-	}
-	gotVals, err := eng.Flush(ctx)
-	if err != nil {
-		t.Fatalf("flush over dead fleet: %v", err)
-	}
-	wantVals, err := ref.Flush(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fellBack == 0 {
-		t.Error("dead fleet did not trigger the local fallback")
-	}
-	for p := range gotVals {
-		if gotVals[p] != wantVals[p] {
-			t.Fatalf("point %d diverges after fallback", p)
-		}
-	}
-}
-
-// TestWorkerProtocolErrors exercises the worker's refusal paths
-// end-to-end through the coordinator's RPC helpers.
+// TestWorkerProtocolErrors exercises the lost-job recovery path Map
+// depends on, end-to-end through the coordinator's RPC helpers: an eval
+// for a job the worker no longer holds is a retryable 404, and
+// evalChunk then re-initializes in full and evaluates.
 func TestWorkerProtocolErrors(t *testing.T) {
 	fx := newFixture(t, 20, 3)
-	_, c := startCluster(t, 1, 0)
+	lw, c := startCluster(t, 1, 0)
 	w := c.workers[0]
 
 	opt := core.Options{}.Resolved()
@@ -357,28 +256,45 @@ func TestWorkerProtocolErrors(t *testing.T) {
 	}
 	j := &job{id: c.newJobID("t"), pl: fx.pl.Clone(), pts: fx.pts}
 	j.spec = jobSpec{
-		Job: j.id, Epoch: 2, Struct: fx.st, Options: opt, Mode: core.ModeFull,
+		Job: j.id, Struct: fx.st, Options: opt, Mode: core.ModeFull,
 		TileCutoff: cutoff, NumTiles: tl.NumTiles(), NumPoints: len(fx.pts),
 	}
+	ctx := context.Background()
 
-	// A placement-only init for a job the worker has never seen must be
-	// answered 404 (full init required).
-	if err := c.initRPC(context.Background(), w, j, false); !isRetryableStatus(err) {
-		t.Fatalf("re-init of unknown job: %v, want retryable 404", err)
-	}
-	if err := c.initRPC(context.Background(), w, j, true); err != nil {
+	if err := c.ensureInit(ctx, w, j); err != nil {
 		t.Fatalf("full init: %v", err)
 	}
-	// A stale-epoch assignment must be answered 409.
-	stale := &job{id: j.id, pl: j.pl, pts: j.pts}
-	stale.spec = j.spec
-	stale.spec.Epoch = 1
-	if _, retryable, err := c.evalRPC(context.Background(), w, stale, []int32{0}, core.ModeFull, &evalScratch{}); err == nil || !retryable {
-		t.Fatalf("stale epoch eval: err=%v retryable=%v, want retryable 409", err, retryable)
+	// Lose the job the way an eviction or restart would: dropJob deletes
+	// the worker's copy (asynchronously) and clears the ledger.
+	c.dropJob(j.id)
+	for deadline := time.Now().Add(5 * time.Second); lw.workers[0].NumJobs() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("worker still holds the dropped job")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	// The full evalChunk path transparently re-inits and evaluates.
-	if _, _, err := c.evalChunk(context.Background(), w, j, []int32{0, 1}, core.ModeFull, &evalScratch{}); err != nil {
+	if _, retryable, err := c.evalRPC(ctx, w, j, []int32{0}, core.ModeFull, &evalScratch{}); err == nil || !retryable {
+		t.Fatalf("eval of a lost job: err=%v retryable=%v, want retryable 404", err, retryable)
+	}
+	// evalChunk re-initializes in full and evaluates exactly.
+	ids := []int32{0, 1}
+	records, _, err := c.evalChunk(ctx, w, j, ids, core.ModeFull, &evalScratch{})
+	if err != nil {
 		t.Fatalf("evalChunk: %v", err)
+	}
+	if len(records) != len(ids) {
+		t.Fatalf("evalChunk returned %d of %d tiles", len(records), len(ids))
+	}
+	got := make([]tensor.Stress, len(fx.pts))
+	for _, rec := range records {
+		if err := tl.ScatterTileResult(rec.id, rec.vals, got); err != nil {
+			t.Fatal(err)
+		}
+		for _, oi := range tl.TilePoints(int(rec.id)) {
+			if got[oi] != fx.want[oi] {
+				t.Fatalf("tile %d point %d diverges after re-init", rec.id, oi)
+			}
+		}
 	}
 	c.dropJob(j.id)
 }

@@ -49,9 +49,9 @@ type CoordinatorOptions struct {
 	// additionally carries a deadline derived from its work size via
 	// Resilience.Deadline.
 	Client *http.Client
-	// Resilience configures retry budgets, backoff, per-worker and
-	// pool-level circuit breakers and per-RPC deadline derivation
-	// (zero value = production defaults; DESIGN.md §18).
+	// Resilience configures retry budgets, backoff, per-worker circuit
+	// breakers and per-RPC deadline derivation (zero value = production
+	// defaults; DESIGN.md §18).
 	Resilience resilience.Config
 }
 
@@ -77,8 +77,7 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 
 // Stats is a snapshot of the coordinator's lifetime counters.
 type Stats struct {
-	// Maps counts completed cluster evaluations (full maps and
-	// incremental tile sets).
+	// Maps counts completed cluster maps.
 	Maps int64
 	// Chunks counts chunk evaluations merged.
 	Chunks int64
@@ -107,13 +106,8 @@ type Stats struct {
 	BudgetTokens float64
 	// BudgetExhausted counts retries denied for lack of budget tokens.
 	BudgetExhausted int64
-	// BreakerOpens totals breaker trips across the per-worker breakers
-	// and the pool breaker.
+	// BreakerOpens totals breaker trips across the per-worker breakers.
 	BreakerOpens int64
-	// PoolBreaker is the pool breaker's state ("closed", "open",
-	// "half-open") — the switch that decides the serving tier's
-	// cluster→local fallback.
-	PoolBreaker string
 	// Workers is the per-worker view: live at call time or, after
 	// Close, the final snapshot taken when the heartbeat loop stopped —
 	// the last-known liveness tests and the bench harness read.
@@ -142,7 +136,7 @@ type WorkerStatus struct {
 // workerRef is the coordinator's view of one worker process.
 //
 // Lock order: ensureInit holds initMu across the init RPC and briefly
-// takes mu inside it to read and update the inited epochs; the reverse
+// takes mu inside it to read and update the inited set; the reverse
 // nesting is forbidden.
 //
 //tsvlint:lockorder workerRef.initMu < workerRef.mu
@@ -155,10 +149,9 @@ type workerRef struct {
 	cores    int
 	lastSeen time.Time
 	lastErr  error
-	// inited maps job id → the epoch this worker's copy was last
-	// initialized at. Cleared on a dead→alive transition: a restarted
-	// process lost its jobs.
-	inited map[string]uint64
+	// inited is the set of job ids this worker holds. Cleared on a
+	// dead→alive transition: a restarted process lost its jobs.
+	inited map[string]struct{}
 
 	// initMu serializes init RPCs to this worker so concurrent loop
 	// goroutines do not ship the same points twice.
@@ -174,7 +167,7 @@ type workerRef struct {
 
 // Coordinator shards tile evaluations across a fleet of workers. It is
 // safe for concurrent use; one coordinator serves any number of
-// concurrent Map calls and session evaluators.
+// concurrent Map calls.
 type Coordinator struct {
 	opt    CoordinatorOptions
 	hc     *http.Client
@@ -197,11 +190,8 @@ type Coordinator struct {
 	statRetries   atomic.Int64
 	statTimeouts  atomic.Int64
 
-	// budget is the shared retry-token bucket; poolBreaker trips when
-	// whole cluster evaluations fail and gates the serving tier's
-	// cluster→local fallback (DESIGN.md §18).
-	budget      *resilience.Budget
-	poolBreaker *resilience.Breaker
+	// budget is the shared retry-token bucket (DESIGN.md §18).
+	budget *resilience.Budget
 
 	// finalWorkers is the per-worker snapshot taken by Close, so Stats
 	// keeps answering with last-known worker state after shutdown.
@@ -229,12 +219,11 @@ func NewCoordinator(addrs []string, opt CoordinatorOptions) (*Coordinator, error
 		return nil, fmt.Errorf("cluster: job nonce: %w", err)
 	}
 	c := &Coordinator{
-		opt:         opt,
-		hc:          hc,
-		prefix:      hex.EncodeToString(nonce[:]),
-		stopCh:      make(chan struct{}),
-		budget:      resilience.NewBudget(opt.Resilience.Budget),
-		poolBreaker: resilience.NewBreaker(opt.Resilience.PoolBreaker),
+		opt:    opt,
+		hc:     hc,
+		prefix: hex.EncodeToString(nonce[:]),
+		stopCh: make(chan struct{}),
+		budget: resilience.NewBudget(opt.Resilience.Budget),
 	}
 	seen := make(map[string]bool, len(addrs))
 	for _, a := range addrs {
@@ -249,14 +238,13 @@ func NewCoordinator(addrs []string, opt CoordinatorOptions) (*Coordinator, error
 		}
 		c.workers = append(c.workers, &workerRef{
 			base:    strings.TrimRight(base, "/"),
-			inited:  make(map[string]uint64),
+			inited:  make(map[string]struct{}),
 			breaker: resilience.NewBreaker(opt.Resilience.Breaker),
 		})
 	}
 	if len(c.workers) == 0 {
 		return nil, errors.New("cluster: no worker addresses")
 	}
-	current.Store(c)
 	if opt.HeartbeatEvery > 0 {
 		go c.heartbeatLoop()
 	}
@@ -273,7 +261,6 @@ func (c *Coordinator) Close() {
 		c.finalMu.Lock()
 		c.finalWorkers = final
 		c.finalMu.Unlock()
-		current.CompareAndSwap(c, nil)
 	})
 }
 
@@ -286,7 +273,7 @@ func (c *Coordinator) Stats() Stats {
 	if workers == nil {
 		workers = c.Workers()
 	}
-	opens := c.poolBreaker.Opens()
+	var opens int64
 	for _, w := range workers {
 		opens += w.BreakerOpens
 	}
@@ -303,7 +290,6 @@ func (c *Coordinator) Stats() Stats {
 		BudgetTokens:    c.budget.Tokens(),
 		BudgetExhausted: c.budget.Exhausted(),
 		BreakerOpens:    opens,
-		PoolBreaker:     c.poolBreaker.State().String(),
 		Workers:         workers,
 	}
 }
@@ -430,7 +416,7 @@ func (c *Coordinator) pingWorker(ctx context.Context, w *workerRef) {
 	w.mu.Lock()
 	if !w.alive {
 		// (Re)registration: assume any previous job state is gone.
-		w.inited = make(map[string]uint64)
+		w.inited = make(map[string]struct{})
 	}
 	w.alive = true
 	w.everSeen = true
@@ -458,7 +444,7 @@ func (c *Coordinator) markDead(w *workerRef, cause error) {
 // job is the coordinator-side description of one evaluation state.
 type job struct {
 	id   string
-	spec jobSpec // Epoch carries the current placement version
+	spec jobSpec
 	pl   *geom.Placement
 	pts  []geom.Point
 }
@@ -495,7 +481,6 @@ func (c *Coordinator) Map(ctx context.Context, dst []tensor.Stress, st material.
 	}
 	j.spec = jobSpec{
 		Job:        j.id,
-		Epoch:      1,
 		Struct:     st,
 		Options:    opt,
 		Mode:       mode,
@@ -680,7 +665,6 @@ func (c *Coordinator) eval(ctx context.Context, j *job, dst []tensor.Stress, tl 
 	}
 	live := c.liveWorkers(ctx)
 	if len(live) == 0 {
-		c.poolBreaker.OnFailure()
 		return fmt.Errorf("cluster: no workers alive for job %s", j.id)
 	}
 	chunks := chunkIDs(ids, len(live)*c.opt.ChunksPerWorker)
@@ -724,14 +708,11 @@ func (c *Coordinator) eval(ctx context.Context, j *job, dst []tensor.Stress, tl 
 	_, tilesDone, complete := s.progress()
 	if complete {
 		c.statMaps.Add(1)
-		c.poolBreaker.OnSuccess()
 		return nil
 	}
 	if ctx.Err() != nil {
-		// A caller-canceled run says nothing about cluster health.
 		return &core.CancelError{TilesDone: tilesDone, TilesTotal: len(ids), Cause: ctx.Err()}
 	}
-	c.poolBreaker.OnFailure()
 	errsMu.Lock()
 	joined := errors.Join(workerErrs...)
 	errsMu.Unlock()
@@ -910,18 +891,16 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// evalChunkAttempt is one try: it transparently (re)initializes the
-// worker's copy of the job when the worker does not know it or holds an
-// older epoch.
+// evalChunkAttempt is one try: it transparently initializes the
+// worker's copy of the job when the worker does not hold it.
 func (c *Coordinator) evalChunkAttempt(ctx context.Context, w *workerRef, j *job, ids []int32, mode core.Mode, sc *evalScratch) ([]tileRecord, error) {
 	if err := c.ensureInit(ctx, w, j); err != nil {
 		return nil, err
 	}
 	records, retryable, err := c.evalRPC(ctx, w, j, ids, mode, sc)
 	if err != nil && retryable && ctx.Err() == nil {
-		// 404/409: the worker lost or outdated the job between our
-		// ledger check and the eval (eviction, restart, stale epoch).
-		// Re-ship and retry once.
+		// 404: the worker lost the job between our ledger check and the
+		// eval (eviction, restart). Re-ship in full and retry once.
 		w.mu.Lock()
 		delete(w.inited, j.id)
 		w.mu.Unlock()
@@ -934,37 +913,32 @@ func (c *Coordinator) evalChunkAttempt(ctx context.Context, w *workerRef, j *job
 }
 
 // ensureInit ships the job to w unless the coordinator's ledger says
-// the worker already holds the current epoch. Inits to one worker are
-// serialized so two loop goroutines never ship the point set twice.
+// the worker already holds it. Inits to one worker are serialized so
+// two loop goroutines never ship the point set twice.
 func (c *Coordinator) ensureInit(ctx context.Context, w *workerRef, j *job) error {
-	w.mu.Lock()
-	epoch, has := w.inited[j.id]
-	w.mu.Unlock()
-	if has && epoch == j.spec.Epoch {
+	if w.holds(j.id) {
 		return nil
 	}
 	w.initMu.Lock()
 	defer w.initMu.Unlock()
-	w.mu.Lock()
-	epoch, has = w.inited[j.id]
-	w.mu.Unlock()
-	if has && epoch == j.spec.Epoch {
+	if w.holds(j.id) {
 		return nil
 	}
-	full := !has
-	if err := c.initRPC(ctx, w, j, full); err != nil {
-		if !full && isRetryableStatus(err) && ctx.Err() == nil {
-			// Re-init refused (worker lost the job): ship in full.
-			err = c.initRPC(ctx, w, j, true)
-		}
-		if err != nil {
-			return err
-		}
+	if err := c.initRPC(ctx, w, j); err != nil {
+		return err
 	}
 	w.mu.Lock()
-	w.inited[j.id] = j.spec.Epoch
+	w.inited[j.id] = struct{}{}
 	w.mu.Unlock()
 	return nil
+}
+
+// holds reports whether the ledger says w holds job id.
+func (w *workerRef) holds(id string) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	_, ok := w.inited[id]
+	return ok
 }
 
 // statusError is an HTTP-level worker failure.
@@ -975,21 +949,16 @@ type statusError struct {
 
 func (e *statusError) Error() string { return fmt.Sprintf("worker answered %d: %s", e.code, e.msg) }
 
+// isRetryableStatus reports a 404: the worker does not hold the job.
 func isRetryableStatus(err error) bool {
 	var se *statusError
-	return errors.As(err, &se) && (se.code == http.StatusNotFound || se.code == http.StatusConflict)
+	return errors.As(err, &se) && se.code == http.StatusNotFound
 }
 
-// initRPC performs one init POST: spec + placement, plus the point set
-// on a full init.
-func (c *Coordinator) initRPC(ctx context.Context, w *workerRef, j *job, full bool) error {
-	// Init cost scales with the shipped payload: point blocks on a full
-	// init, placement size on a re-init.
-	units := j.pl.Len() / 128
-	if full {
-		units = j.spec.NumPoints / 128
-	}
-	ctx, cancel := context.WithTimeout(ctx, c.opt.Resilience.Deadline.For(units))
+// initRPC performs one init POST: spec, placement and point set.
+func (c *Coordinator) initRPC(ctx context.Context, w *workerRef, j *job) error {
+	// Init cost scales with the shipped point blocks.
+	ctx, cancel := context.WithTimeout(ctx, c.opt.Resilience.Deadline.For(j.spec.NumPoints/128))
 	defer cancel()
 	if err := faultinject.Fire("cluster.coord.init"); err != nil {
 		return err
@@ -1000,9 +969,7 @@ func (c *Coordinator) initRPC(ctx context.Context, w *workerRef, j *job, full bo
 	}
 	body := appendFrame(nil, frameInit, specBytes)
 	body = appendFrame(body, framePlacement, appendPointsPayload(nil, j.pl.Centers()))
-	if full {
-		body = appendFrame(body, framePoints, appendPointsPayload(nil, j.pts))
-	}
+	body = appendFrame(body, framePoints, appendPointsPayload(nil, j.pts))
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+"/v1/cluster/jobs/"+j.id, bytes.NewReader(body))
 	if err != nil {
 		return err
@@ -1030,11 +997,9 @@ func (c *Coordinator) initRPC(ctx context.Context, w *workerRef, j *job, full bo
 	return nil
 }
 
-// evalRPC performs one eval POST and decodes the result stream: one
-// frameResultBatch per chunk (or v1-style individual frameResults),
-// closed by frameDone. retryable reports a 404/409 (job missing or
-// stale on the worker). The returned records alias sc's reusable
-// buffers and are valid until its next use.
+// evalRPC performs one eval POST and decodes the result stream.
+// retryable reports a 404 (job missing on the worker). The returned
+// records alias sc's reusable buffers and are valid until its next use.
 func (c *Coordinator) evalRPC(ctx context.Context, w *workerRef, j *job, ids []int32, mode core.Mode, sc *evalScratch) (records []tileRecord, retryable bool, err error) {
 	// Every attempt carries a deadline derived from its tile count, so a
 	// hung worker cannot stall the chunk past its work-sized budget.
@@ -1056,7 +1021,7 @@ func (c *Coordinator) evalRPC(ctx context.Context, w *workerRef, j *job, ids []i
 	if err := faultinject.Fire("cluster.coord.eval"); err != nil {
 		return nil, false, err
 	}
-	body := appendFrame(nil, frameAssign, appendAssignPayload(nil, assignment{Epoch: j.spec.Epoch, Mode: mode, IDs: ids}))
+	body := appendFrame(nil, frameAssign, appendAssignPayload(nil, assignment{Mode: mode, IDs: ids}))
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+"/v1/cluster/jobs/"+j.id+"/eval", bytes.NewReader(body))
 	if err != nil {
 		return nil, false, err
@@ -1074,49 +1039,44 @@ func (c *Coordinator) evalRPC(ctx context.Context, w *workerRef, j *job, ids []i
 		se := &statusError{code: resp.StatusCode, msg: readWorkerError(resp.Body)}
 		return nil, isRetryableStatus(se), se
 	}
-	br := bufio.NewReaderSize(resp.Body, 1<<16)
-	records = sc.records[:0]
+	records, err = sc.readResults(bufio.NewReaderSize(resp.Body, 1<<16), len(ids))
+	return records, false, err
+}
+
+// readResults decodes an eval result stream of frameResultBatch frames
+// closed by frameDone, requiring want tiles in total. Any other frame
+// type fails the stream.
+func (sc *evalScratch) readResults(br *bufio.Reader, want int) ([]tileRecord, error) {
+	records := sc.records[:0]
 	slab := sc.slab[:0]
 	for {
 		var typ byte
 		var payload []byte
+		var err error
 		typ, payload, sc.frame, err = readFrameInto(br, sc.frame)
 		if err != nil {
-			return nil, false, fmt.Errorf("result stream: %w", err)
+			return nil, fmt.Errorf("result stream: %w", err)
 		}
 		switch typ {
 		case frameResultBatch:
 			oldCap := cap(slab)
 			records, slab, err = decodeResultBatch(payload, records, slab)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			if cap(slab) != oldCap {
 				realiasRecords(records, slab)
 			}
-		case frameResult:
-			id, slabOut, rest, err := core.ReadTileResultAppend(payload, slab)
-			if err != nil {
-				return nil, false, err
-			}
-			if len(rest) != 0 {
-				return nil, false, fmt.Errorf("result frame for tile %d carries %d trailing bytes", id, len(rest))
-			}
-			records = append(records, tileRecord{id: id, vals: slabOut[len(slab):]})
-			if cap(slabOut) != cap(slab) {
-				realiasRecords(records, slabOut)
-			}
-			slab = slabOut
 		case frameDone:
-			if len(records) != len(ids) {
-				return nil, false, fmt.Errorf("worker returned %d of %d tiles", len(records), len(ids))
+			if len(records) != want {
+				return nil, fmt.Errorf("worker returned %d of %d tiles", len(records), want)
 			}
 			sc.records, sc.slab = records, slab
-			return records, false, nil
+			return records, nil
 		case frameError:
-			return nil, false, fmt.Errorf("worker eval failed: %s", payload)
+			return nil, fmt.Errorf("worker eval failed: %s", payload)
 		default:
-			return nil, false, fmt.Errorf("unexpected frame type %d in result stream", typ)
+			return nil, fmt.Errorf("unexpected frame type %d in result stream", typ)
 		}
 	}
 }

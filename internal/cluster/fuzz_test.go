@@ -1,25 +1,32 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
+	"strings"
 	"testing"
 
 	"tsvstress/internal/core"
 )
 
+// retiredResultFrame is the per-tile result frame type protocol 1 and 2
+// decoded; protocol 3 retired it, so the coordinator must refuse it.
+const retiredResultFrame = 5
+
 // FuzzDecodeFrames drives the cluster wire decoder with adversarial
 // byte streams: frame splitting, then the payload decoder matching each
-// frame type (assignments, coordinate slabs, tile-result records). The
+// frame type (assignments, coordinate slabs, tile-result batches). The
 // decoders must never panic or over-allocate, and every accepted
 // payload must re-encode to the identical bytes — the framing is
-// canonical, so decode∘encode is the identity on valid input.
+// canonical, so decode∘encode is the identity on valid input. A retired
+// type-5 result frame must fail the coordinator's result stream.
 func FuzzDecodeFrames(f *testing.F) {
 	// An empty error frame, a two-tile assignment, a one-point slab, a
-	// one-point tile result, and a truncated declaration.
+	// retired one-point tile result, and a truncated declaration.
 	f.Add([]byte("\x00\x00\x00\x00\x07"))
-	f.Add(appendFrame(nil, frameAssign, appendAssignPayload(nil, assignment{Epoch: 1, Mode: core.ModeFull, IDs: []int32{0, 1}})))
+	f.Add(appendFrame(nil, frameAssign, appendAssignPayload(nil, assignment{Mode: core.ModeFull, IDs: []int32{0, 1}})))
 	f.Add(appendFrame(nil, framePoints, []byte("\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00")))
-	f.Add(appendFrame(nil, frameResult, append([]byte("\x00\x00\x00\x00\x01\x00\x00\x00"), make([]byte, 24)...)))
+	f.Add(appendFrame(nil, retiredResultFrame, append([]byte("\x00\x00\x00\x00\x01\x00\x00\x00"), make([]byte, 24)...)))
 	// A two-tile result batch (tile 0 with one point, tile 1 empty) and
 	// a batch whose declared tile count exceeds its payload.
 	f.Add(appendFrame(nil, frameResultBatch, append(append([]byte("\x02\x00\x00\x00"),
@@ -51,12 +58,12 @@ func FuzzDecodeFrames(f *testing.F) {
 						t.Fatalf("point slab round trip diverged")
 					}
 				}
-			case frameResult:
-				if id, vals, tail, err := core.ReadTileResult(payload); err == nil {
-					if len(vals) > len(payload) {
-						t.Fatalf("tile %d decoded %d values from %d bytes", id, len(vals), len(payload))
-					}
-					_ = tail
+			case retiredResultFrame:
+				frame := rest[:len(rest)-len(next)]
+				sc := &evalScratch{}
+				_, err := sc.readResults(bufio.NewReader(bytes.NewReader(frame)), 1)
+				if err == nil || !strings.Contains(err.Error(), "unexpected frame type 5") {
+					t.Fatalf("retired result frame: err=%v, want unexpected frame type 5", err)
 				}
 			case frameResultBatch:
 				if records, slab, err := decodeResultBatch(payload, nil, nil); err == nil {

@@ -9,8 +9,6 @@ import (
 
 	"tsvstress/internal/core"
 	"tsvstress/internal/faultinject"
-	"tsvstress/internal/geom"
-	"tsvstress/internal/incr"
 	"tsvstress/internal/resilience"
 	"tsvstress/internal/tensor"
 )
@@ -174,7 +172,7 @@ func TestFailureMatrix(t *testing.T) {
 				// Attempt accounting: dispatches = chunks + requeues +
 				// steals; each dispatch spends at most one first attempt,
 				// each retry is budget-metered, and every attempt performs
-				// at most two eval RPCs (the 404/409 re-ship).
+				// at most two eval RPCs (the 404 re-ship).
 				if maxAttempts := 2 * (st.Chunks + st.Requeues + st.Steals + st.Retries); st.Attempts > maxAttempts {
 					t.Errorf("attempts %d exceed the dispatch bound %d (stats %+v)", st.Attempts, maxAttempts, st)
 				}
@@ -288,129 +286,4 @@ func TestHeartbeatFlappingDampened(t *testing.T) {
 			t.Errorf("worker %s breaker %q after heal, want closed", w.Addr, w.Breaker)
 		}
 	}
-}
-
-// TestSessionEvaluatorBreakerFallback pins the pool-breaker fast path:
-// after a whole evaluation fails, the open breaker sends subsequent
-// flushes straight to local eval without spending a single RPC attempt,
-// and once the cool-down elapses the half-open probe heals the session
-// back onto the cluster.
-func TestSessionEvaluatorBreakerFallback(t *testing.T) {
-	fx := newFixture(t, 40, 2.5)
-	lw, err := StartLocalWorkers(2, WorkerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lw.Stop()
-	res := matrixResilience()
-	// Worker breakers out of the way (the pool breaker is under test);
-	// the pool trips on the first failed evaluation and cools briefly.
-	res.Breaker = resilience.BreakerConfig{FailureThreshold: 100, OpenFor: 50 * time.Millisecond}
-	res.PoolBreaker = resilience.BreakerConfig{FailureThreshold: 1, OpenFor: 200 * time.Millisecond}
-	c, err := NewCoordinator(lw.Addrs(), CoordinatorOptions{
-		HeartbeatEvery: -1, PingTimeout: 5 * time.Second, Resilience: res,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx := context.Background()
-	if err := c.Ping(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	clustered, err := incr.New(ctx, fx.st, fx.pl, fx.pts, core.ModeFull, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := incr.New(ctx, fx.st, fx.pl, fx.pts, core.ModeFull, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := &enginePair{fx: fx, clustered: clustered, local: local}
-	ev := c.NewSessionEvaluator()
-	var fallbacks []error
-	ev.OnFallback = func(err error) { fallbacks = append(fallbacks, err) }
-	defer ev.Close()
-	eng.clustered.SetTileEvaluator(ev)
-
-	// Flush 1: every eval RPC fails; the evaluation fails whole, the
-	// pool breaker trips, and the flush falls back to local eval.
-	faultinject.Set("cluster.coord.eval", faultinject.Fault{})
-	if err := eng.editAndCompare(ctx, t, 0); err != nil {
-		t.Fatalf("flush 1: %v", err)
-	}
-	faultinject.Reset()
-	if len(fallbacks) != 1 {
-		t.Fatalf("%d fallbacks after the failed evaluation, want 1", len(fallbacks))
-	}
-	if c.Stats().PoolBreaker != "open" {
-		t.Fatalf("pool breaker %q after a failed evaluation, want open", c.Stats().PoolBreaker)
-	}
-	attemptsAfterTrip := c.Stats().Attempts
-
-	// Flush 2 (inside the cool-down): fast local fallback — the breaker
-	// refuses before any RPC, so the attempt counter must not move.
-	if err := eng.editAndCompare(ctx, t, 1); err != nil {
-		t.Fatalf("flush 2: %v", err)
-	}
-	if len(fallbacks) != 2 || fallbacks[1] != ErrClusterOpen {
-		t.Fatalf("fallbacks %v after the fast-fallback flush, want ErrClusterOpen", fallbacks)
-	}
-	if got := c.Stats().Attempts; got != attemptsAfterTrip {
-		t.Fatalf("attempts moved %d → %d during an open-breaker flush", attemptsAfterTrip, got)
-	}
-
-	// Flush 3 (after the cool-down): the half-open probe goes back to
-	// the now-healthy cluster, succeeds, and closes the breaker.
-	time.Sleep(250 * time.Millisecond)
-	if err := eng.editAndCompare(ctx, t, 2); err != nil {
-		t.Fatalf("flush 3: %v", err)
-	}
-	if len(fallbacks) != 2 {
-		t.Fatalf("heal flush fell back (%v), want cluster evaluation", fallbacks[len(fallbacks)-1])
-	}
-	st := c.Stats()
-	if st.PoolBreaker != "closed" {
-		t.Errorf("pool breaker %q after the heal flush, want closed", st.PoolBreaker)
-	}
-	if st.Attempts <= attemptsAfterTrip {
-		t.Errorf("heal flush performed no eval RPCs (attempts %d)", st.Attempts)
-	}
-}
-
-// enginePair is a clustered engine plus its in-process reference.
-type enginePair struct {
-	fx        *fixture
-	clustered *incr.Engine
-	local     *incr.Engine
-}
-
-// editAndCompare applies the k-th scripted edit to both engines,
-// flushes both, and fails the test on any point divergence.
-func (p *enginePair) editAndCompare(ctx context.Context, t *testing.T, k int) error {
-	t.Helper()
-	far := p.fx.pl.Bounds(0).Max
-	eds := []struct{ dx, dy float64 }{{10, 10}, {20, 15}, {15, 25}}
-	ed := geom.Edit{Op: geom.EditMove, Index: 1, TSV: geom.TSV{Center: geom.Pt(far.X + eds[k].dx, far.Y + eds[k].dy)}}
-	if err := p.clustered.Apply(ed); err != nil {
-		return err
-	}
-	if err := p.local.Apply(ed); err != nil {
-		return err
-	}
-	got, err := p.clustered.Flush(ctx)
-	if err != nil {
-		return err
-	}
-	want, err := p.local.Flush(ctx)
-	if err != nil {
-		return err
-	}
-	for i := range got {
-		if maxAbsDiff(got[i], want[i]) > 1e-9 {
-			t.Fatalf("edit %d: point %d diverges from the local reference", k, i)
-		}
-	}
-	return nil
 }

@@ -43,8 +43,9 @@ import (
 // introduced the batched result frame (frameResultBatch): one frame per
 // eval chunk instead of one per tile, which cuts the header and
 // read-loop traffic on the many-small-tiles shape a fine tiling
-// produces.
-const protoVersion = 2
+// produces. Version 3 retired the per-tile result frame (type 5) and job
+// epochs: every job is one-shot and always initialized in full.
+const protoVersion = 3
 
 // Frame types. Every frame on the wire is length-prefixed:
 //
@@ -56,15 +57,14 @@ const (
 	frameInit        = 1 // JSON jobSpec
 	framePlacement   = 2 // u32 n | n × (f64 x, f64 y) TSV centers
 	framePoints      = 3 // u32 n | n × (f64 x, f64 y) simulation points
-	frameAssign      = 4 // u64 epoch | u8 mode | u32 n | n × u32 tile id
-	frameResult      = 5 // one core tile-result record (v1 shape; still decoded)
-	frameDone        = 6 // u32 tiles evaluated
+	frameAssign      = 4 // u8 mode | u32 n | n × u32 tile id
+	frameDone        = 6 // u32 tiles evaluated (type 5 is retired)
 	frameError       = 7 // UTF-8 message
 	frameResultBatch = 8 // u32 n | n × core tile-result record (one per chunk)
 )
 
 // maxFramePayload bounds a single frame. The largest legitimate frame
-// is the point set of a session (24 B/point would allow ~10M points);
+// is the point set of a job (24 B/point would allow ~10M points);
 // anything larger is a corrupt or hostile length.
 const maxFramePayload = 1 << 28
 
@@ -215,17 +215,15 @@ func decodePointsPayload(payload []byte) ([]geom.Point, error) {
 
 // ---- tile assignments ----
 
-// assignment is one eval request: which tiles to evaluate, against
-// which job epoch, in which mode.
+// assignment is one eval request: which tiles to evaluate, in which
+// mode.
 type assignment struct {
-	Epoch uint64
-	Mode  core.Mode
-	IDs   []int32
+	Mode core.Mode
+	IDs  []int32
 }
 
 // appendAssignPayload encodes an assignment.
 func appendAssignPayload(buf []byte, a assignment) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, a.Epoch)
 	buf = append(buf, byte(a.Mode))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.IDs)))
 	for _, id := range a.IDs {
@@ -239,17 +237,16 @@ func appendAssignPayload(buf []byte, a assignment) []byte {
 // worker's job — only it holds the tiling.
 func decodeAssignPayload(payload []byte) (assignment, error) {
 	var a assignment
-	if len(payload) < 13 {
+	if len(payload) < 5 {
 		return a, fmt.Errorf("cluster: assignment truncated: %d bytes", len(payload))
 	}
-	a.Epoch = binary.LittleEndian.Uint64(payload)
-	mode := payload[8]
+	mode := payload[0]
 	if mode > byte(core.ModeInteractive) {
 		return a, fmt.Errorf("cluster: assignment mode %d unknown", mode)
 	}
 	a.Mode = core.Mode(mode)
-	n := binary.LittleEndian.Uint32(payload[9:])
-	body := payload[13:]
+	n := binary.LittleEndian.Uint32(payload[1:])
+	body := payload[5:]
 	if uint64(n)*4 != uint64(len(body)) {
 		return a, fmt.Errorf("cluster: assignment declares %d tiles, carries %d bytes", n, len(body))
 	}
@@ -275,6 +272,7 @@ type tileRecord struct {
 // tile-result records. The buffer is pre-grown to the exact encoded
 // size so a worker's reused scratch stops growing once it has seen its
 // largest chunk.
+//
 //tsvlint:allocfree
 func appendResultBatchPayload(buf []byte, tl *core.Tiling, ids []int32, dst []tensor.Stress) []byte {
 	need := 4
@@ -295,6 +293,7 @@ func appendResultBatchPayload(buf []byte, tl *core.Tiling, ids []int32, dst []te
 // the returned slab — the records are only valid until the caller
 // reuses it. The slab is pre-grown from the payload size, so the
 // appends never reallocate out from under earlier records.
+//
 //tsvlint:allocfree
 func decodeResultBatch(payload []byte, records []tileRecord, slab []tensor.Stress) ([]tileRecord, []tensor.Stress, error) {
 	if len(payload) < 4 {
@@ -336,17 +335,12 @@ type jobSpec struct {
 	// Job names the evaluation state on the worker; it is unique per
 	// coordinator instance so restarts never collide with stale jobs.
 	Job string `json:"job"`
-	// Epoch versions the placement: a worker holding an older epoch
-	// rebuilds its analyzer (reusing its solved models and coefficient
-	// cache) from the placement shipped alongside.
-	Epoch uint64 `json:"epoch"`
 	// Struct is the TSV cross-section; with Options it determines the
 	// solved models, bit-for-bit.
 	Struct material.Structure `json:"struct"`
 	// Options are the resolved analyzer options.
 	Options core.Options `json:"options"`
-	// Mode is the session's pinned evaluation mode (an assignment may
-	// still request a cheaper mode, e.g. a degraded LS pass).
+	// Mode is the job's evaluation mode.
 	Mode core.Mode `json:"mode"`
 	// TileCutoff is the gather radius the tiling is built with; with
 	// the shipped points it reproduces the coordinator's partition.

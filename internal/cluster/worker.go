@@ -57,7 +57,6 @@ type Worker struct {
 // evaluate concurrently.
 type workerJob struct {
 	mu       sync.Mutex
-	spec     jobSpec
 	pts      []geom.Point
 	tl       *core.Tiling
 	an       *core.Analyzer
@@ -116,14 +115,10 @@ func workerError(rw http.ResponseWriter, status int, msg string) {
 	_ = json.NewEncoder(rw).Encode(map[string]string{"error": msg})
 }
 
-// handleInit builds or refreshes a job. The body is a frame sequence:
-// frameInit (JSON spec), framePlacement (TSV centers), and — on a full
-// init — framePoints (the simulation points). A re-init (placement
-// only) requires the job to already exist at an older epoch; the
-// worker then rebuilds its analyzer through core.Analyzer.Rebuild,
-// reusing the solved models and the pitch-keyed coefficient cache. A
-// re-init for an unknown job answers 404 and the coordinator retries
-// with a full init.
+// handleInit builds a job. The body is a frame sequence: frameInit
+// (JSON spec), framePlacement (TSV centers) and framePoints (the
+// simulation points). Re-initializing a job the worker already holds is
+// an idempotent replay (a retried init after a dropped response).
 func (w *Worker) handleInit(rw http.ResponseWriter, r *http.Request) {
 	if err := faultinject.Fire("cluster.worker.init"); err != nil {
 		workerError(rw, http.StatusInternalServerError, "injected: "+err.Error())
@@ -160,12 +155,15 @@ func (w *Worker) handleInit(rw http.ResponseWriter, r *http.Request) {
 	}
 	pl := geom.NewPlacement(centers...)
 
-	var pts []geom.Point
-	if typ, payload, err = readFrame(br); err == nil && typ == framePoints {
-		if pts, err = decodePointsPayload(payload); err != nil {
-			workerError(rw, http.StatusBadRequest, err.Error())
-			return
-		}
+	typ, payload, err = readFrame(br)
+	if err != nil || typ != framePoints {
+		workerError(rw, http.StatusBadRequest, fmt.Sprintf("want points frame (type %d, err %v)", typ, err))
+		return
+	}
+	pts, err := decodePointsPayload(payload)
+	if err != nil {
+		workerError(rw, http.StatusBadRequest, err.Error())
+		return
 	}
 
 	ack, status, err := w.initJob(spec, pl, pts)
@@ -180,7 +178,6 @@ func (w *Worker) handleInit(rw http.ResponseWriter, r *http.Request) {
 // initAck answers a successful init.
 type initAck struct {
 	Job       string `json:"job"`
-	Epoch     uint64 `json:"epoch"`
 	NumTiles  int    `json:"numTiles"`
 	NumPoints int    `json:"numPoints"`
 }
@@ -188,13 +185,13 @@ type initAck struct {
 // initJob applies an init under the job table and job locks, returning
 // the HTTP status to report on failure.
 func (w *Worker) initJob(spec jobSpec, pl *geom.Placement, pts []geom.Point) (initAck, int, error) {
+	if len(pts) != spec.NumPoints {
+		return initAck{}, http.StatusUnprocessableEntity,
+			fmt.Errorf("cluster: job %s ships %d points, spec says %d", spec.Job, len(pts), spec.NumPoints)
+	}
 	w.mu.Lock()
 	job, exists := w.jobs[spec.Job]
 	if !exists {
-		if pts == nil {
-			w.mu.Unlock()
-			return initAck{}, http.StatusNotFound, fmt.Errorf("cluster: job %s unknown; full init required", spec.Job)
-		}
 		job = &workerJob{}
 		w.jobs[spec.Job] = job
 		w.evictLocked(spec.Job)
@@ -204,56 +201,29 @@ func (w *Worker) initJob(spec jobSpec, pl *geom.Placement, pts []geom.Point) (in
 
 	job.mu.Lock()
 	defer job.mu.Unlock()
-	if exists && job.an == nil && pts == nil {
-		// The job was evicted (or its first init failed) between the
-		// table lookup and here; without points it cannot be rebuilt.
-		return initAck{}, http.StatusNotFound, fmt.Errorf("cluster: job %s lost its state; full init required", spec.Job)
-	}
-	if job.an != nil && job.spec.Epoch >= spec.Epoch {
-		// Idempotent replay of an epoch the job already has (a retried
-		// init after a dropped response): nothing to rebuild.
-		return initAck{Job: spec.Job, Epoch: job.spec.Epoch, NumTiles: job.tl.NumTiles(), NumPoints: len(job.pts)}, 0, nil
-	}
-
-	if pts == nil {
-		pts = job.pts
-	}
-	if len(pts) != spec.NumPoints {
-		return initAck{}, http.StatusUnprocessableEntity,
-			fmt.Errorf("cluster: job %s ships %d points, spec says %d", spec.Job, len(pts), spec.NumPoints)
-	}
-	var an *core.Analyzer
-	var err error
 	if job.an != nil {
-		// Same structure/options, new placement: rebuild shares the
-		// solved models and the pitch-keyed coefficient cache.
-		an, err = job.an.Rebuild(pl, nil)
-	} else {
-		opt := spec.Options.Resolved()
-		opt.Workers = w.opt.Workers
-		an, err = core.New(spec.Struct, pl, opt)
+		// Idempotent replay: a job id always names the same spec.
+		return initAck{Job: spec.Job, NumTiles: job.tl.NumTiles(), NumPoints: len(job.pts)}, 0, nil
 	}
+	opt := spec.Options.Resolved()
+	opt.Workers = w.opt.Workers
+	an, err := core.New(spec.Struct, pl, opt)
 	if err != nil {
 		return initAck{}, http.StatusUnprocessableEntity, err
 	}
-	tl := job.tl
-	if tl == nil {
-		if tl, err = core.NewTiling(pts, spec.TileCutoff); err != nil {
-			return initAck{}, http.StatusUnprocessableEntity, err
-		}
+	tl, err := core.NewTiling(pts, spec.TileCutoff)
+	if err != nil {
+		return initAck{}, http.StatusUnprocessableEntity, err
 	}
 	if tl.NumTiles() != spec.NumTiles {
 		return initAck{}, http.StatusUnprocessableEntity,
 			fmt.Errorf("cluster: job %s tiling disagrees: worker built %d tiles, coordinator has %d", spec.Job, tl.NumTiles(), spec.NumTiles)
 	}
-	job.spec = spec
 	job.pts = pts
 	job.tl = tl
 	job.an = an
-	if len(job.dst) != len(pts) {
-		job.dst = make([]tensor.Stress, len(pts))
-	}
-	return initAck{Job: spec.Job, Epoch: spec.Epoch, NumTiles: tl.NumTiles(), NumPoints: len(pts)}, 0, nil
+	job.dst = make([]tensor.Stress, len(pts))
+	return initAck{Job: spec.Job, NumTiles: tl.NumTiles(), NumPoints: len(pts)}, 0, nil
 }
 
 // evictLocked drops least-recently-used jobs beyond MaxJobs, never the
@@ -280,9 +250,9 @@ func (w *Worker) evictLocked(keep string) {
 
 // handleEval evaluates an assignment's tiles and streams one
 // frameResultBatch carrying every tile of the chunk, followed by
-// frameDone. An epoch mismatch is a 409 (the coordinator re-inits and
-// retries); an evaluation failure after the 200 has been committed is
-// reported in-stream as a frameError.
+// frameDone. An unknown job is a 404 (the coordinator re-inits in full
+// and retries); an evaluation failure after the 200 has been committed
+// is reported in-stream as a frameError.
 func (w *Worker) handleEval(rw http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	w.mu.Lock()
@@ -311,11 +281,6 @@ func (w *Worker) handleEval(rw http.ResponseWriter, r *http.Request) {
 	defer job.mu.Unlock()
 	if job.an == nil {
 		workerError(rw, http.StatusNotFound, fmt.Sprintf("cluster: job %s lost its state; full init required", id))
-		return
-	}
-	if asn.Epoch != job.spec.Epoch {
-		workerError(rw, http.StatusConflict,
-			fmt.Sprintf("cluster: job %s is at epoch %d, assignment wants %d", id, job.spec.Epoch, asn.Epoch))
 		return
 	}
 	// The test-only straggler/death drill: a Delay fault makes this

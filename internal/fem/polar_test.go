@@ -117,22 +117,6 @@ func TestPolarSubmodelRingAccuracy(t *testing.T) {
 	}
 }
 
-// Cartesian patches remain available behind the option.
-func TestCartesianPatchOptionStillWorks(t *testing.T) {
-	st := material.Baseline(material.BCB)
-	pl := geom.NewPlacement(geom.Pt(0, 0))
-	sub, err := SolveSubmodel(pl, st, square(t, 12), SubmodelOptions{
-		GlobalH: 0.5, LocalH: 0.25, CartesianPatches: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := sub.StressAt(geom.Pt(3.5, 0))
-	if math.IsNaN(s.XX) || s.XX == 0 {
-		t.Errorf("cartesian patch stress = %v", s)
-	}
-}
-
 // Neighbour intrusion: a second TSV close enough that its liner reaches
 // the first TSV's annulus must not break the solve, and the field must
 // stay symmetric under the pair's mirror symmetry.

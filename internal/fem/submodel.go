@@ -14,18 +14,7 @@ type SubmodelOptions struct {
 	// GlobalH is the coarse mesh size of the global Richardson pair
 	// (default 0.25 ⇒ global meshes at 0.25 and 0.125).
 	GlobalH float64
-	// CartesianPatches selects the legacy Cartesian submodel patches
-	// instead of the interface-aligned polar patches. Kept for
-	// comparison studies; the polar patches are strictly more accurate
-	// near the liner because their mesh rings coincide with the
-	// material interfaces.
-	CartesianPatches bool
-	// LocalH is the coarse mesh size of a Cartesian patch's Richardson
-	// pair (default 0.125 ⇒ patch meshes at 0.125 and 0.0625). Unused
-	// for polar patches.
-	LocalH float64
-	// PatchHalf is the half-size of the square Cartesian patch
-	// (default 6 µm). For polar patches it caps the annulus radius.
+	// PatchHalf caps the polar patch's annulus radius (default 6 µm).
 	PatchHalf float64
 	// CoreHalf is the radius around a TSV center within which a patch
 	// overrides the global field (default 4.5 µm, automatically shrunk
@@ -42,9 +31,6 @@ func (o SubmodelOptions) withDefaults() SubmodelOptions {
 	if o.GlobalH <= 0 {
 		o.GlobalH = 0.25
 	}
-	if o.LocalH <= 0 {
-		o.LocalH = 0.125
-	}
 	if o.PatchHalf <= 0 {
 		o.PatchHalf = 6
 	}
@@ -59,8 +45,8 @@ func (o SubmodelOptions) withDefaults() SubmodelOptions {
 // displacements interpolated from the global fine mesh (classic FEM
 // submodeling / zooming). Near-interface stress — where the paper's
 // critical region lives — comes from the patches; the far field from
-// the global solve. By default the patches are polar-meshed so the
-// body/liner and liner/substrate interfaces are resolved exactly.
+// the global solve. The patches are polar-meshed so the body/liner and
+// liner/substrate interfaces are resolved exactly.
 type Submodel struct {
 	Global  *RichardsonResult
 	Centers []geom.Point
@@ -89,53 +75,39 @@ func SolveSubmodel(pl *geom.Placement, st material.Structure, domain geom.Rect, 
 		return global.Fine.DisplacementAt(p)
 	}
 	for i, t := range pl.TSVs {
-		var patch Field
 		core := opt.CoreHalf
-		if opt.CartesianPatches {
-			patchDom := geom.RectAround(t.Center, 2*opt.PatchHalf, 2*opt.PatchHalf)
-			pOpt := opt.Base
-			pOpt.H = opt.LocalH
-			pOpt.BoundaryDisp = bc
-			p, err := SolveRichardson(pl, st, patchDom, pOpt)
-			if err != nil {
-				return nil, fmt.Errorf("fem: submodel patch at %v: %w", t.Center, err)
+		// Shrink the annulus so a neighbouring TSV's liner stays outside
+		// it (its staircased interface would otherwise sit inside the
+		// fine patch).
+		rOut := opt.PatchHalf
+		dNear := math.Inf(1)
+		for k, o := range pl.TSVs {
+			if k == i {
+				continue
 			}
-			patch = p
-		} else {
-			// Shrink the annulus so a neighbouring TSV's liner stays
-			// outside it (its staircased interface would otherwise sit
-			// inside the fine patch).
-			rOut := opt.PatchHalf
-			dNear := math.Inf(1)
-			for k, o := range pl.TSVs {
-				if k == i {
-					continue
-				}
-				if d := o.Center.Dist(t.Center); d < dNear {
-					dNear = d
-				}
+			if d := o.Center.Dist(t.Center); d < dNear {
+				dNear = d
 			}
-			if cap := dNear - st.RPrime - 0.2; cap < rOut {
-				rOut = cap
-			}
-			if rOut < st.RPrime+0.8 {
-				rOut = st.RPrime + 0.8 // accept neighbour blending
-			}
-			if c := rOut - 0.6; c < core {
-				core = c
-			}
-			p, err := SolvePolarPatch(pl, st, t.Center, PolarPatchOptions{
-				ROut:         rOut,
-				DR:           opt.PolarDR,
-				NTheta:       opt.PolarNTheta,
-				Plane:        opt.Base.Plane,
-				BoundaryDisp: bc,
-				SubSamples:   opt.Base.SubSamples,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fem: polar patch at %v: %w", t.Center, err)
-			}
-			patch = p
+		}
+		if cap := dNear - st.RPrime - 0.2; cap < rOut {
+			rOut = cap
+		}
+		if rOut < st.RPrime+0.8 {
+			rOut = st.RPrime + 0.8 // accept neighbour blending
+		}
+		if c := rOut - 0.6; c < core {
+			core = c
+		}
+		patch, err := SolvePolarPatch(pl, st, t.Center, PolarPatchOptions{
+			ROut:         rOut,
+			DR:           opt.PolarDR,
+			NTheta:       opt.PolarNTheta,
+			Plane:        opt.Base.Plane,
+			BoundaryDisp: bc,
+			SubSamples:   opt.Base.SubSamples,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("fem: polar patch at %v: %w", t.Center, err)
 		}
 		sm.Centers = append(sm.Centers, t.Center)
 		sm.Patches = append(sm.Patches, patch)

@@ -75,29 +75,7 @@ type Engine struct {
 	// values (a load-shedding flush); cleared by the next full flush.
 	degraded bool
 	stats    Stats
-
-	// evalTiles, when non-nil, replaces the in-process tile evaluation
-	// on Flush (see SetTileEvaluator). Everything else — dirty
-	// tracking, analyzer rebuilds, degraded/cancel semantics — is
-	// unchanged.
-	evalTiles TileEvaluator
 }
-
-// TileEvaluator computes stress for a set of tiles of a pinned tiling.
-// It is the seam the cluster tier plugs into: the implementation must
-// produce, for every id in ids, exactly the values the analyzer's own
-// EvalTiles would write into dst (the sharded-evaluation property test
-// pins this bit-for-bit), must honor per-tile cancellation by returning
-// an error matching core.ErrCanceled, and must either complete every
-// requested tile or return a non-nil error.
-type TileEvaluator interface {
-	EvalTiles(ctx context.Context, an *core.Analyzer, dst []tensor.Stress, pts []geom.Point, tl *core.Tiling, ids []int32, mode core.Mode) error
-}
-
-// SetTileEvaluator routes the engine's flush evaluations through ev;
-// nil restores the in-process path. Like every Engine method it must
-// not race a Flush.
-func (e *Engine) SetTileEvaluator(ev TileEvaluator) { e.evalTiles = ev }
 
 // Stats reports the engine's incremental-evaluation counters.
 type Stats struct {
@@ -330,13 +308,7 @@ func (e *Engine) flush(ctx context.Context, mode core.Mode) ([]tensor.Stress, er
 		e.needsEval = true
 	}
 	e.ids = collectDirty(e.ids[:0], e.dirty)
-	evalErr := error(nil)
-	if e.evalTiles != nil {
-		evalErr = e.evalTiles.EvalTiles(ctx, e.an, e.vals, e.pts, e.tiling, e.ids, mode)
-	} else {
-		evalErr = e.an.EvalTiles(ctx, e.vals, e.pts, e.tiling, e.ids, mode)
-	}
-	if err := evalErr; err != nil {
+	if err := e.an.EvalTiles(ctx, e.vals, e.pts, e.tiling, e.ids, mode); err != nil {
 		// Dirty flags stay set: the next Flush retries the evaluation
 		// against the already-committed analyzer.
 		if errors.Is(err, core.ErrCanceled) {

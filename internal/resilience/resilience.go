@@ -18,8 +18,8 @@
 //     bounded per-RPC deadline so no call can hang a scheduler slot.
 //
 // internal/cluster wires all four around its coordinator RPCs;
-// internal/serve keys its cluster→local fallback off the pool-level
-// Breaker. DESIGN.md §18 documents the policy semantics.
+// internal/gateway uses Breaker for replica liveness. DESIGN.md §18
+// documents the policy semantics.
 package resilience
 
 import (
@@ -40,11 +40,6 @@ type Config struct {
 	Backoff BackoffConfig
 	// Breaker configures the per-endpoint (per-worker) breakers.
 	Breaker BreakerConfig
-	// PoolBreaker configures the whole-pool breaker that gates the
-	// cluster→local fallback decision (more tolerant than the
-	// per-worker one: it should open only when the fleet as a whole
-	// cannot complete work).
-	PoolBreaker BreakerConfig
 	// Deadline derives per-RPC timeouts from work size.
 	Deadline DeadlineConfig
 }
@@ -57,14 +52,6 @@ func (c Config) WithDefaults() Config {
 	c.Budget = c.Budget.withDefaults()
 	c.Backoff = c.Backoff.withDefaults()
 	c.Breaker = c.Breaker.withDefaults()
-	p := c.PoolBreaker
-	if p.FailureThreshold <= 0 {
-		p.FailureThreshold = 2
-	}
-	if p.OpenFor <= 0 {
-		p.OpenFor = 5 * time.Second
-	}
-	c.PoolBreaker = p.withDefaults()
 	c.Deadline = c.Deadline.withDefaults()
 	return c
 }

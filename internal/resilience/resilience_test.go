@@ -158,9 +158,6 @@ func TestConfigWithDefaults(t *testing.T) {
 	if c.Breaker.FailureThreshold != 5 || c.Breaker.OpenFor != 2*time.Second {
 		t.Errorf("breaker defaults %+v", c.Breaker)
 	}
-	if c.PoolBreaker.FailureThreshold != 2 || c.PoolBreaker.OpenFor != 5*time.Second {
-		t.Errorf("pool breaker defaults %+v", c.PoolBreaker)
-	}
 	if c.Deadline.Floor != 2*time.Second || c.Deadline.Ceil != 60*time.Second {
 		t.Errorf("deadline defaults %+v", c.Deadline)
 	}

@@ -429,7 +429,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		MMax:    req.MMax,
 		Created: ses.created,
 	}
-	s.attachCluster(ses)
 	// The gateway mints session ids so routing stays a pure function of
 	// the id; a bare client lets the server number the session.
 	id, err := s.reserveID(r.Header.Get("X-Tsvgate-Session"))

@@ -140,7 +140,6 @@ func (s *Server) hydrate(ctx context.Context, id string) error {
 		metricQuarantined.Set(int64(s.quarantinedLocked()))
 	}
 	s.mu.Unlock()
-	s.attachCluster(ses)
 	ses.lastUsed.Store(time.Now().UnixNano())
 	metricHydrations.Add(1)
 	return nil
@@ -217,10 +216,6 @@ func (s *Server) evict(ses *session) bool {
 	}
 	_ = ses.log.Close()
 	ses.log = nil
-	if ses.eval != nil {
-		ses.eval.Close()
-		ses.eval = nil
-	}
 	ses.evicted = true
 	ses.engine = nil // release the field map and tile partition
 	metricEvictions.Add(1)
@@ -355,7 +350,6 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "import: bundle replay diverged: "+reason)
 		return
 	}
-	s.attachCluster(ses)
 	s.publishSession(id, ses)
 	metricImports.Add(1)
 	writeJSON(w, http.StatusCreated, CreateResponse{

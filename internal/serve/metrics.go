@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tsvstress/internal/cluster"
 	"tsvstress/internal/incr"
 )
 
@@ -16,29 +15,27 @@ import (
 // package may construct many Servers — tests do — but expvar names are
 // process-global, so the vars live at package level and aggregate).
 var (
-	metricRequests         = new(expvar.Int)   // compute requests accepted for admission
-	metricRejects          = new(expvar.Int)   // admission rejections (503)
-	metricInFlight         = new(expvar.Int)   // currently executing compute requests
-	metricSessions         = new(expvar.Int)   // live placement sessions
-	metricEdits            = new(expvar.Int)   // applied edits
-	metricFlushes          = new(expvar.Int)   // incremental flushes
-	metricDirtyTile        = new(expvar.Float) // dirty-tile ratio of the last flush
-	metricCacheEnt         = new(expvar.Int)   // pitch-coefficient cache entries
-	metricCacheHits        = new(expvar.Int)   // pitch-coefficient cache hits
-	metricPanics           = new(expvar.Int)   // contained handler/kernel panics
-	metricQuarantined      = new(expvar.Int)   // currently quarantined sessions
-	metricDegraded         = new(expvar.Int)   // load-shedding (full→ls) flushes served
-	metricWALAppends       = new(expvar.Int)   // journaled edit batches
-	metricWALErrors        = new(expvar.Int)   // WAL append/snapshot failures
-	metricSnapshots        = new(expvar.Int)   // placement snapshots written
-	metricRecovered        = new(expvar.Int)   // sessions restored by Recover
-	metricClusterFlushes   = new(expvar.Int)   // flushes routed through the cluster tier
-	metricClusterFallbacks = new(expvar.Int)   // cluster flushes that fell back to local eval
-	metricEvictions        = new(expvar.Int)   // cold sessions checkpointed out of memory
-	metricHydrations       = new(expvar.Int)   // evicted sessions rebuilt on demand
-	metricExports          = new(expvar.Int)   // session bundles shipped out
-	metricImports          = new(expvar.Int)   // session bundles taken in
-	metricEvictedSessions  = new(expvar.Int)   // sessions currently on disk only
+	metricRequests        = new(expvar.Int)   // compute requests accepted for admission
+	metricRejects         = new(expvar.Int)   // admission rejections (503)
+	metricInFlight        = new(expvar.Int)   // currently executing compute requests
+	metricSessions        = new(expvar.Int)   // live placement sessions
+	metricEdits           = new(expvar.Int)   // applied edits
+	metricFlushes         = new(expvar.Int)   // incremental flushes
+	metricDirtyTile       = new(expvar.Float) // dirty-tile ratio of the last flush
+	metricCacheEnt        = new(expvar.Int)   // pitch-coefficient cache entries
+	metricCacheHits       = new(expvar.Int)   // pitch-coefficient cache hits
+	metricPanics          = new(expvar.Int)   // contained handler/kernel panics
+	metricQuarantined     = new(expvar.Int)   // currently quarantined sessions
+	metricDegraded        = new(expvar.Int)   // load-shedding (full→ls) flushes served
+	metricWALAppends      = new(expvar.Int)   // journaled edit batches
+	metricWALErrors       = new(expvar.Int)   // WAL append/snapshot failures
+	metricSnapshots       = new(expvar.Int)   // placement snapshots written
+	metricRecovered       = new(expvar.Int)   // sessions restored by Recover
+	metricEvictions       = new(expvar.Int)   // cold sessions checkpointed out of memory
+	metricHydrations      = new(expvar.Int)   // evicted sessions rebuilt on demand
+	metricExports         = new(expvar.Int)   // session bundles shipped out
+	metricImports         = new(expvar.Int)   // session bundles taken in
+	metricEvictedSessions = new(expvar.Int)   // sessions currently on disk only
 	// Per-endpoint request accounting, keyed by route name ("create",
 	// "edits", "map", "screen", "aging"): cumulative request counts and
 	// a live in-flight gauge per route, so a dashboard can tell a stuck
@@ -76,8 +73,6 @@ func init() {
 	m.Set("edit_latency_ms", editLatency.m)
 	m.Set("edit_latency_ms_1m", expvar.Func(editLatencyWindow.snapshot))
 	m.Set("session_queue_depth", expvar.Func(sessionQueueDepths))
-	m.Set("cluster_flushes_total", metricClusterFlushes)
-	m.Set("cluster_fallbacks_total", metricClusterFallbacks)
 	m.Set("evictions_total", metricEvictions)
 	m.Set("hydrations_total", metricHydrations)
 	m.Set("exports_total", metricExports)
@@ -85,7 +80,6 @@ func init() {
 	m.Set("evicted_sessions", metricEvictedSessions)
 	m.Set("endpoint_requests_total", metricEndpointRequests)
 	m.Set("endpoint_in_flight", metricEndpointInFlight)
-	m.Set("cluster", expvar.Func(clusterSnapshot))
 }
 
 // histogram is a fixed-bucket latency histogram over expvar counters:
@@ -265,21 +259,6 @@ func sessionQueueDepths() any {
 		out[k.(string)] = v.(*atomic.Int64).Load()
 		return true
 	})
-	return out
-}
-
-// clusterCoord is the coordinator the expvar page reports on (the
-// newest cluster-enabled server wins; expvar is process-global anyway).
-var clusterCoord atomic.Pointer[cluster.Coordinator]
-
-func clusterSnapshot() any {
-	c := clusterCoord.Load()
-	if c == nil {
-		return map[string]any{"enabled": false}
-	}
-	out := c.ExpvarSnapshot()
-	out["enabled"] = true
-	out["workers_alive"] = c.NumAlive()
 	return out
 }
 

@@ -215,7 +215,6 @@ func (s *Server) buildSession(ctx context.Context, id string, rec *wal.Recovered
 		meta:    meta,
 		log:     log,
 	}
-	s.attachCluster(ses)
 	// Replay the batches journaled after the snapshot. Every batch was
 	// accepted (rehearsed) by the live path, so a failure here means
 	// the journal and the engine disagree about validity — quarantine

@@ -47,13 +47,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tsvstress/internal/cluster"
-	"tsvstress/internal/core"
-	"tsvstress/internal/geom"
 	"tsvstress/internal/incr"
 	"tsvstress/internal/material"
 	"tsvstress/internal/prof"
-	"tsvstress/internal/tensor"
 	"tsvstress/internal/wal"
 )
 
@@ -104,14 +100,6 @@ type Options struct {
 	// WAL on the next request. MaxSessions still bounds the total
 	// (live + evicted).
 	MaxLiveSessions int
-	// ClusterWorkers lists tsvworker addresses (host:port). When
-	// non-empty, session flushes evaluate their dirty tiles across the
-	// cluster tier (internal/cluster) instead of in-process; WAL,
-	// admission, degradation and cancellation semantics are unchanged,
-	// and a cluster failure falls back to local evaluation (counted in
-	// the cluster_fallbacks_total metric). Empty keeps everything
-	// in-process.
-	ClusterWorkers []string
 }
 
 func (o Options) withDefaults() Options {
@@ -158,10 +146,6 @@ func (o Options) withDefaults() Options {
 //tsvlint:lockorder session.mu < Server.mu
 type Server struct {
 	opt Options
-
-	// coord is the cluster coordinator when Options.ClusterWorkers is
-	// set, else nil (all evaluation in-process).
-	coord *cluster.Coordinator
 
 	// ready gates /readyz: set once recovery (a no-op without a WAL
 	// directory) has completed.
@@ -220,11 +204,6 @@ type session struct {
 	// snapshot; operated under mu.
 	batchesSinceSnap int
 
-	// eval is the session's cluster evaluator when the server runs with
-	// a worker fleet (nil otherwise); closed with the session to free
-	// worker-side job state.
-	eval *cluster.SessionEvaluator
-
 	// quarantined is the non-empty reason this session refuses compute
 	// requests (contained panic, WAL write failure, replay divergence).
 	// Guarded by Server.mu.
@@ -232,10 +211,7 @@ type session struct {
 }
 
 // NewServer builds a service with no sessions. It performs no I/O;
-// call Recover to load journaled sessions from Options.WALDir. With
-// Options.ClusterWorkers set it also starts the cluster coordinator
-// (its heartbeats register workers as they come up; an empty fleet
-// degrades to local evaluation per session, it does not fail startup).
+// call Recover to load journaled sessions from Options.WALDir.
 func NewServer(opt Options) *Server {
 	s := &Server{
 		opt:       opt.withDefaults(),
@@ -243,41 +219,10 @@ func NewServer(opt Options) *Server {
 		evicted:   make(map[string]bool),
 		hydrating: make(map[string]chan struct{}),
 	}
-	if len(s.opt.ClusterWorkers) > 0 {
-		if coord, err := cluster.NewCoordinator(s.opt.ClusterWorkers, cluster.CoordinatorOptions{}); err == nil {
-			s.coord = coord
-			clusterCoord.Store(coord)
-		}
-	}
 	// Without a WAL there is nothing to recover: the server is ready
 	// the moment it exists.
 	s.ready.Store(s.opt.WALDir == "")
 	return s
-}
-
-// attachCluster routes a new session's flush evaluations through the
-// cluster tier (no-op without a fleet). The evaluator itself falls back
-// to in-process evaluation when the cluster cannot complete a flush, so
-// attaching never makes a session less available.
-func (s *Server) attachCluster(ses *session) {
-	if s.coord == nil {
-		return
-	}
-	ev := s.coord.NewSessionEvaluator()
-	ev.OnFallback = func(error) { metricClusterFallbacks.Add(1) }
-	ses.eval = ev
-	ses.engine.SetTileEvaluator(countingEvaluator{ev})
-}
-
-// countingEvaluator counts cluster-routed flush evaluations on their
-// way into the session evaluator.
-type countingEvaluator struct {
-	ev *cluster.SessionEvaluator
-}
-
-func (ce countingEvaluator) EvalTiles(ctx context.Context, an *core.Analyzer, dst []tensor.Stress, pts []geom.Point, tl *core.Tiling, ids []int32, mode core.Mode) error {
-	metricClusterFlushes.Add(1)
-	return ce.ev.EvalTiles(ctx, an, dst, pts, tl, ids, mode)
 }
 
 // Handler returns the service's HTTP handler, including the expvar
@@ -615,10 +560,6 @@ func (s *Server) dropSession(id string) bool {
 		ses.log = nil
 		_ = wal.Remove(filepath.Join(s.opt.WALDir, id))
 	}
-	if ses.eval != nil {
-		ses.eval.Close()
-		ses.eval = nil
-	}
 	ses.mu.Unlock()
 	return true
 }
@@ -649,9 +590,6 @@ func (s *Server) sessionDir(id string) string {
 // before acknowledging), so a timed-out drain loses no acknowledged
 // edits; the final snapshot only shortens the next recovery's replay.
 func (s *Server) Close(ctx context.Context) error {
-	if s.coord != nil {
-		s.coord.Close()
-	}
 	s.mu.Lock()
 	sessions := make([]*session, 0, len(s.sessions))
 	for _, ses := range s.sessions {
