@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"tsvstress/internal/field"
 	"tsvstress/internal/geom"
 	"tsvstress/internal/material"
 	"tsvstress/internal/tensor"
@@ -107,17 +108,24 @@ func stressDiff(a, b tensor.Stress) float64 {
 // pooled, so a steady-state sweep (the incremental engine's flush loop,
 // the server's session evaluations) stays off the garbage collector.
 // Workers: 1 keeps goroutine spawning out of the measurement;
-// AllocsPerRun pins GOMAXPROCS to 1 anyway.
+// AllocsPerRun pins GOMAXPROCS to 1 anyway. The sweep is unmasked and
+// includes every TSV center, so the interior (liner/body) path is part
+// of the measurement.
 func TestMapIntoZeroAllocSteadyState(t *testing.T) {
 	st := material.Baseline(material.BCB)
 	rng := rand.New(rand.NewSource(7))
-	an, err := New(st, randomPlacement(rng, st, 4, 4), Options{Workers: 1})
+	pl := randomPlacement(rng, st, 4, 4)
+	an, err := New(st, pl, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pts := make([]geom.Point, 2048)
 	for i := range pts {
 		pts[i] = geom.Pt(60*rng.Float64(), 60*rng.Float64())
+	}
+	pts = append(pts, pl.Centers()...)
+	if inside := len(pts) - len(field.Masked(pts, field.OutsideTSVs(pl, st.RPrime))); inside < 100 {
+		t.Fatalf("only %d of %d points inside a footprint", inside, len(pts))
 	}
 	dst := make([]tensor.Stress, len(pts))
 	ctx := context.Background()

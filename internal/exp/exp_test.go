@@ -108,7 +108,15 @@ func TestTable6QuickShape(t *testing.T) {
 		if r.AR < 0 {
 			t.Errorf("case %s: AR = %v", rc.Name, r.AR)
 		}
-		t.Logf("case %s: LS=%v PF=%v AR=%.0f%% pairs=%d", rc.Name, r.LSTime, r.FullTime, r.AR, r.PairCount)
+		// The masked sample drops the points inside TSV footprints.
+		if r.MaskedPoints <= 0 || r.MaskedPoints >= rc.NumPoints {
+			t.Errorf("case %s: %d of %d points survive the footprint mask", rc.Name, r.MaskedPoints, rc.NumPoints)
+		}
+		if r.MaskedLSTime <= 0 || r.MaskedFullTime <= 0 {
+			t.Errorf("case %s: masked times LS=%v full=%v", rc.Name, r.MaskedLSTime, r.MaskedFullTime)
+		}
+		t.Logf("case %s: LS=%v PF=%v AR=%.0f%% pairs=%d; masked %d pts LS=%v PF=%v AR=%.0f%%", rc.Name,
+			r.LSTime, r.FullTime, r.AR, r.PairCount, r.MaskedPoints, r.MaskedLSTime, r.MaskedFullTime, r.MaskedAR)
 	}
 	var buf bytes.Buffer
 	r, err := RunRuntimeCase(RuntimeCase{"t", 50, 1e-2, 5000}, 3)
@@ -118,8 +126,10 @@ func TestTable6QuickShape(t *testing.T) {
 	if err := WriteTable6(&buf, []*RuntimeResult{r}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "AR (%)") {
-		t.Error("table header missing")
+	for _, col := range []string{"AR (%)", "Masked AR (%)"} {
+		if !strings.Contains(buf.String(), col) {
+			t.Errorf("table column %q missing", col)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tsvstress/internal/core"
+	"tsvstress/internal/field"
 	"tsvstress/internal/geom"
 	"tsvstress/internal/material"
 	"tsvstress/internal/placegen"
@@ -52,10 +53,18 @@ type RuntimeResult struct {
 	// AR is the paper's metric: additional run time of the proposed
 	// framework over the linear superposition run time, in percent.
 	AR float64
+	// The same measurement over the sample with every point inside a
+	// TSV footprint removed (field.OutsideTSVs), the device-layer
+	// silicon the paper's error metrics cover (DESIGN.md §2).
+	MaskedPoints   int
+	MaskedLSTime   time.Duration
+	MaskedFullTime time.Duration
+	MaskedAR       float64
 }
 
 // RunRuntimeCase measures LS and full-framework map times on a random
-// placement with the case's density.
+// placement with the case's density, over the uniform point sample and
+// again over its footprint-masked subset.
 func RunRuntimeCase(rc RuntimeCase, seed int64) (*RuntimeResult, error) {
 	st := material.Baseline(material.BCB)
 	pl, err := placegen.Random(rc.NumTSV, rc.Density, 2*st.RPrime+1, seed)
@@ -73,27 +82,44 @@ func RunRuntimeCase(rc RuntimeCase, seed int64) (*RuntimeResult, error) {
 	for i := range pts {
 		pts[i] = geom.Pt(b.Min.X+rng.Float64()*b.W(), b.Min.Y+rng.Float64()*b.H())
 	}
+	res := &RuntimeResult{Case: rc, PairCount: an.NumPairRounds()}
+	if res.LSTime, res.FullTime, err = timeMaps(an, pts); err != nil {
+		return nil, err
+	}
+	res.AR = additionalRuntime(res.LSTime, res.FullTime)
+	masked := field.Masked(pts, field.OutsideTSVs(pl, st.RPrime))
+	res.MaskedPoints = len(masked)
+	if res.MaskedLSTime, res.MaskedFullTime, err = timeMaps(an, masked); err != nil {
+		return nil, err
+	}
+	res.MaskedAR = additionalRuntime(res.MaskedLSTime, res.MaskedFullTime)
+	return res, nil
+}
 
-	// One destination buffer serves both sweeps: the timing measures
-	// evaluation, not slice churn.
+// timeMaps times one LS and one Full MapInto over pts. One destination
+// buffer serves both sweeps: the timing measures evaluation, not slice
+// churn.
+func timeMaps(an *core.Analyzer, pts []geom.Point) (ls, full time.Duration, err error) {
 	dst := make([]tensor.Stress, len(pts))
 	t0 := time.Now()
 	if err := an.MapInto(context.Background(), dst, pts, core.ModeLS); err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	lsTime := time.Since(t0)
-
+	ls = time.Since(t0)
 	t1 := time.Now()
 	if err := an.MapInto(context.Background(), dst, pts, core.ModeFull); err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	fullTime := time.Since(t1)
+	return ls, time.Since(t1), nil
+}
 
-	res := &RuntimeResult{Case: rc, LSTime: lsTime, FullTime: fullTime, PairCount: an.NumPairRounds()}
-	if lsTime > 0 {
-		res.AR = 100 * float64(fullTime-lsTime) / float64(lsTime)
+// additionalRuntime is the paper's AR in percent (0 when LS took no
+// measurable time).
+func additionalRuntime(ls, full time.Duration) float64 {
+	if ls <= 0 {
+		return 0
 	}
-	return res, nil
+	return 100 * float64(full-ls) / float64(ls)
 }
 
 // RunTable6 measures all cases.
@@ -116,6 +142,7 @@ func WriteTable6(w io.Writer, results []*RuntimeResult) error {
 	}
 	tb := &report.Table{Header: []string{
 		"Case", "TSV #", "Density (1e-2/µm²)", "Points", "LS time", "PF time", "Pair rounds", "AR (%)",
+		"Masked points", "Masked LS time", "Masked PF time", "Masked AR (%)",
 	}}
 	for _, r := range results {
 		tb.AddRow(
@@ -127,6 +154,10 @@ func WriteTable6(w io.Writer, results []*RuntimeResult) error {
 			r.FullTime.Round(time.Millisecond).String(),
 			fmt.Sprintf("%d", r.PairCount),
 			fmt.Sprintf("%.0f", r.AR),
+			fmt.Sprintf("%d", r.MaskedPoints),
+			r.MaskedLSTime.Round(time.Millisecond).String(),
+			r.MaskedFullTime.Round(time.Millisecond).String(),
+			fmt.Sprintf("%.0f", r.MaskedAR),
 		)
 	}
 	if err := tb.WriteMarkdown(w); err != nil {

@@ -27,16 +27,25 @@ import (
 // how many rounds the victim participates in — the structural speedup
 // that makes dense full-chip Stage II tractable.
 //
+// Inside the victim (r < R′) the same identity holds with the incident
+// coefficient scale_m(d) in place of a_m: the liner and body profiles
+// are scale_m(d)·P_m(ρ) with P_m pitch independent (Model.inner), so
+// the two further aggregates Σ scale_m cos(mψ) and Σ scale_m sin(mψ)
+// make interior points O(MMax) as well (see interiorAt).
+//
 // A VictimRounds is immutable after Pack and safe for concurrent use.
 type VictimRounds struct {
 	vicX, vicY float64
 	rPrime     float64
-	nm         int // harmonics (MMax−1)
+	k          float64 // R/R′: body/liner interface in scaled radius
+	nm         int     // harmonics (MMax−1)
+	rounds     int     // packed (non-degenerate) rounds
 	// Aggregated coefficients, each of length nm (index m−2):
 	// ca[i] = Σ_r a_i^r cos(mψ_r), sa[i] = Σ_r a_i^r sin(mψ_r),
-	// cb/sb likewise for b. Backed by one slab.
-	ca, sa, cb, sb []float64
-	evs            []PairEval // fallback path for points inside the victim
+	// cb/sb likewise for b, and ci/si likewise for the incident
+	// coefficient scale_m(d_r). Backed by one slab.
+	ca, sa, cb, sb, ci, si []float64
+	inner                  []innerCoeffs // the Model's unit interior profiles
 
 	// SoA complex-Horner state for AccumulateTile (see the derivation
 	// there). horner is step-major, one hornerStep per harmonic index
@@ -80,41 +89,56 @@ const truncTolMPa = 2e-12
 // analyzer do). Degenerate rounds (non-positive pitch) contribute zero
 // and are dropped. Returns nil when no evaluable round remains.
 func PackRounds(evs []PairEval) *VictimRounds {
-	kept := make([]PairEval, 0, len(evs))
-	for _, pe := range evs {
-		if pe.d > 0 {
-			kept = append(kept, pe)
+	var vr *VictimRounds
+	for r := range evs {
+		pe := &evs[r]
+		if pe.d <= 0 {
+			continue
 		}
-	}
-	if len(kept) == 0 {
-		return nil
-	}
-	nm := len(kept[0].a)
-	slab := make([]float64, 4*nm)
-	vr := &VictimRounds{
-		vicX:   kept[0].vic.X,
-		vicY:   kept[0].vic.Y,
-		rPrime: kept[0].rPrime,
-		nm:     nm,
-		ca:     slab[0*nm : 1*nm],
-		sa:     slab[1*nm : 2*nm],
-		cb:     slab[2*nm : 3*nm],
-		sb:     slab[3*nm : 4*nm],
-		evs:    kept,
-	}
-	for _, pe := range kept {
+		if vr == nil {
+			mo := pe.model
+			nm := len(pe.a)
+			slab := make([]float64, 6*nm)
+			vr = &VictimRounds{
+				vicX:   pe.vic.X,
+				vicY:   pe.vic.Y,
+				rPrime: pe.rPrime,
+				k:      mo.Struct.K(),
+				nm:     nm,
+				ca:     slab[0*nm : 1*nm],
+				sa:     slab[1*nm : 2*nm],
+				cb:     slab[2*nm : 3*nm],
+				sb:     slab[3*nm : 4*nm],
+				ci:     slab[4*nm : 5*nm],
+				si:     slab[5*nm : 6*nm],
+				inner:  mo.inner,
+			}
+		}
+		vr.rounds++
+		// Incident coefficient scale_m = −(K/R′²)·(m−1)·q^m with
+		// q = 1/d̂ = R′/d (potential.IncidentCoeff), by recurrence in q.
+		q := pe.rPrime / pe.d
+		kr := -pe.model.Lame.K / (pe.rPrime * pe.rPrime)
+		qm := q * q
 		// cos/sin(mψ) recurrence over the round's axis angle ψ,
 		// starting at m = 2.
 		c1, s1 := pe.axX, pe.axY
 		cm := c1*c1 - s1*s1
 		sm := 2 * s1 * c1
-		for i := 0; i < nm; i++ {
+		for i := 0; i < vr.nm; i++ {
+			scale := kr * float64(i+1) * qm
 			vr.ca[i] += pe.a[i] * cm
 			vr.sa[i] += pe.a[i] * sm
 			vr.cb[i] += pe.b[i] * cm
 			vr.sb[i] += pe.b[i] * sm
+			vr.ci[i] += scale * cm
+			vr.si[i] += scale * sm
+			qm *= q
 			cm, sm = cm*c1-sm*s1, sm*c1+cm*s1
 		}
+	}
+	if vr == nil {
+		return nil
 	}
 	vr.packHorner()
 	return vr
@@ -188,7 +212,7 @@ func (vr *VictimRounds) packHorner() {
 }
 
 // NumRounds returns the number of packed (non-degenerate) rounds.
-func (vr *VictimRounds) NumRounds() int { return len(vr.evs) }
+func (vr *VictimRounds) NumRounds() int { return vr.rounds }
 
 // Vic returns the shared victim center.
 func (vr *VictimRounds) Vic() geom.Point { return geom.Pt(vr.vicX, vr.vicY) }
@@ -202,12 +226,7 @@ func (vr *VictimRounds) AccumulateAt(px, py float64, acc *tensor.Stress) {
 	relY := py - vr.vicY
 	r := math.Hypot(relX, relY)
 	if r < vr.rPrime {
-		// Interior of the victim footprint: rare for device-layer
-		// points; take the general transmitted-field path per round.
-		p := geom.Pt(px, py)
-		for k := range vr.evs {
-			*acc = acc.Add(vr.evs[k].StressAt(p))
-		}
+		*acc = acc.Add(vr.interiorAt(relX, relY, r))
 		return
 	}
 	cphi, sphi := relX/r, relY/r
@@ -238,16 +257,64 @@ func (vr *VictimRounds) AccumulateAt(px, py float64, acc *tensor.Stress) {
 	acc.XY += (rr-tt)*cs + rt*(c2-s2)
 }
 
-// interiorAt is the cold path of AccumulateTile for points inside the
-// victim footprint: the general transmitted-field evaluation per round,
-// identical to AccumulateAt's interior branch.
-func (vr *VictimRounds) interiorAt(px, py float64) tensor.Stress {
-	p := geom.Pt(px, py)
-	var s tensor.Stress
-	for k := range vr.evs {
-		s = s.Add(vr.evs[k].StressAt(p))
+// interiorAt returns the summed interactive stress of all packed rounds
+// at a point inside the victim footprint, given its offset (relX, relY)
+// from the victim center and r = Hypot(relX, relY) < R′. Per harmonic
+// the liner and body fields are scale_m(d)·P_m(ρ) with the pitch-
+// independent profile P_m of Model.inner, so with θ = φ − ψ
+//
+//	Σ_r scale_m(d_r)·cos(mθ_r) = cos(mφ)·ci_m + sin(mφ)·si_m
+//	Σ_r scale_m(d_r)·sin(mθ_r) = sin(mφ)·ci_m − cos(mφ)·si_m
+//
+// and one radial recurrence in ρ = r/R′ plus one rotation evaluates the
+// whole round set. The region split (ρ ≥ k liner, else body) is the
+// one PairPolar makes. At r = 0 any frame works: only the m = 2 body
+// term ρ^0 survives, and it rotates consistently from φ = 0.
+func (vr *VictimRounds) interiorAt(relX, relY, r float64) tensor.Stress {
+	cphi, sphi := 1.0, 0.0
+	if r > 0 {
+		cphi, sphi = relX/r, relY/r
 	}
-	return s
+	rho := r / vr.rPrime
+	liner := rho >= vr.k
+	// ρ^m and ρ^{m−2} from m = 2; the liner also carries ρ^{−m} and
+	// ρ^{−m−2}, which stay zero in the body (no negative powers there,
+	// and ρ may be 0).
+	pp, pp2 := rho*rho, 1.0
+	var inv, pn, pn2 float64
+	if liner {
+		inv = 1 / rho
+		pn = inv * inv
+		pn2 = pn * pn
+	}
+	cm := cphi*cphi - sphi*sphi
+	sm := 2 * sphi * cphi
+	var rr, tt, rt float64
+	for i := 0; i < vr.nm; i++ {
+		c := &vr.inner[i].core
+		if liner {
+			c = &vr.inner[i].liner
+		}
+		fm := float64(i + 2)
+		ap, an := c.APos*pp, c.ANeg*pn
+		bp, bn := c.BPos*pp2, c.BNeg*pn2
+		ac := cm*vr.ci[i] + sm*vr.si[i] // Σ_r scale cos(mθ_r)
+		as := sm*vr.ci[i] - cm*vr.si[i] // Σ_r scale sin(mθ_r)
+		rr += ((2-fm)*ap + (2+fm)*an - bp - bn) * ac
+		tt += ((2+fm)*ap + (2-fm)*an + bp + bn) * ac
+		rt += (fm*ap + fm*an + bp - bn) * as
+		pp *= rho
+		pp2 *= rho
+		pn *= inv
+		pn2 *= inv
+		cm, sm = cm*cphi-sm*sphi, sm*cphi+cm*sphi
+	}
+	c2, s2, cs := cphi*cphi, sphi*sphi, cphi*sphi
+	return tensor.Stress{
+		XX: rr*c2 - 2*rt*cs + tt*s2,
+		YY: rr*s2 + 2*rt*cs + tt*c2,
+		XY: (rr-tt)*cs + rt*(c2-s2),
+	}
 }
 
 // AccumulateTile adds this victim's interactive stress into the tile
@@ -280,8 +347,8 @@ func (vr *VictimRounds) interiorAt(px, py float64) tensor.Stress {
 // single compare.
 //
 // px, py, sxx, syy, sxy must have equal length. Points inside the
-// victim footprint take the per-round interior path (the classification
-// reproduces AccumulateAt's Hypot compare exactly via rp2Guard).
+// victim footprint take interiorAt, as in AccumulateAt (the
+// classification reproduces its Hypot compare exactly via rp2Guard).
 func (vr *VictimRounds) AccumulateTile(px, py, sxx, syy, sxy []float64, pd2 float64) {
 	n := len(px)
 	if len(py) != n || len(sxx) != n || len(syy) != n || len(sxy) != n {
@@ -301,8 +368,8 @@ func (vr *VictimRounds) AccumulateTile(px, py, sxx, syy, sxy []float64, pd2 floa
 		if d2 < vr.rp2Guard {
 			// Guard band: settle interior vs exterior with the exact
 			// scalar-path compare.
-			if math.Hypot(dx, dy) < rp {
-				s := vr.interiorAt(px[i], py[i])
+			if r := math.Hypot(dx, dy); r < rp {
+				s := vr.interiorAt(dx, dy, r)
 				sxx[i] += s.XX
 				syy[i] += s.YY
 				sxy[i] += s.XY

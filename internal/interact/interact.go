@@ -54,6 +54,10 @@ type Model struct {
 	MMax int
 
 	units []unitSol // index m−2
+	// inner[m−2] holds the pitch-independent radial profiles of the
+	// victim interior: the unit transmitted field minus the unit incident
+	// field, per region.
+	inner []innerCoeffs
 
 	// Pitch-keyed cache of scattered-coefficient slices shared by every
 	// pair round at the same pitch (the transfer coefficients depend on
@@ -64,6 +68,14 @@ type Model struct {
 	cacheMu    sync.Mutex
 	coeffCache map[uint64]pairCoeffs
 	cacheHits  int
+}
+
+// innerCoeffs is one harmonic's interior profile coefficients for a unit
+// incident coefficient: u.liner − {BPos: 1} and u.core − {BPos: 1}.
+// PairPolar scales both by IncidentCoeff(m−2, K, R′, d), so every round
+// at a victim shares them.
+type innerCoeffs struct {
+	liner, core potential.HarmCoeffs
 }
 
 // pairCoeffs is one cached entry: the per-harmonic scattered substrate
@@ -105,6 +117,8 @@ func NewPlane(s material.Structure, mmax int, plane material.Plane) (*Model, err
 			return nil, fmt.Errorf("interact: harmonic %d: %w", h, err)
 		}
 		m.units = append(m.units, u)
+		inc := potential.HarmCoeffs{BPos: -1}
+		m.inner = append(m.inner, innerCoeffs{liner: u.liner.Add(inc), core: u.core.Add(inc)})
 	}
 	return m, nil
 }
@@ -244,9 +258,15 @@ func (mo *Model) PairPolar(r, theta, d float64) tensor.Polar {
 
 // PairStress returns the interactive stress in MPa (Cartesian, global
 // axes) at point p for the round with victim TSV centered at vic and
-// aggressor at agg. It returns the zero tensor when p coincides with the victim
-// center direction degeneracies cannot occur (the field is evaluated in
-// the rotated frame and rotated back).
+// aggressor at agg. The field is evaluated in the victim frame whose
+// θ = 0 axis points at the aggressor and rotated back. A degenerate
+// round (agg == vic) contributes the zero tensor.
+//
+// At the victim center (r = 0) the polar frame is undefined, so the
+// limit is returned instead: every body profile term carries ρ^m or
+// ρ^{m−2} with m ≥ 2, and only the m = 2 term b_0·ρ^0 survives. Along
+// the axis that gives σrr = −B, σθθ = B, σrθ = 0, with B the body's
+// transmitted-minus-incident b_0 coefficient at this pitch.
 func (mo *Model) PairStress(p, vic, agg geom.Point) tensor.Stress {
 	axis := agg.Sub(vic)
 	d := axis.Norm()
@@ -256,13 +276,8 @@ func (mo *Model) PairStress(p, vic, agg geom.Point) tensor.Stress {
 	rel := p.Sub(vic)
 	r := rel.Norm()
 	if r == 0 {
-		// Center of the victim: evaluate the m-sum at r=0; only the
-		// transmitted-minus-incident core field survives and every
-		// profile carries r^m or r^{m-2} with m ≥ 2, so the only
-		// non-zero term is m = 2 via r^0. Evaluate at a tiny radius
-		// along the axis for numerical simplicity.
-		rel = axis.Scale(1e-9 / d)
-		r = rel.Norm()
+		b := mo.inner[0].core.BPos * potential.IncidentCoeff(0, mo.Lame.K, mo.Struct.RPrime, d)
+		return tensor.Polar{RR: -b, TT: b}.ToCartesian(axis.Angle())
 	}
 	phiGlobal := rel.Angle()               // angle of the point in global axes
 	thetaLocal := phiGlobal - axis.Angle() // local frame: aggressor at θ=0

@@ -83,8 +83,8 @@ func (mo *Model) CoeffCacheStats() (entries, hits int) {
 }
 
 // StressAt returns the interactive stress of this round at p, in MPa
-// (global Cartesian axes). Points inside the victim footprint fall back to the
-// general evaluator.
+// (global Cartesian axes). Points inside the victim footprint take the
+// general transmitted-field evaluator, Model.PairStress.
 func (pe *PairEval) StressAt(p geom.Point) tensor.Stress {
 	if pe.d <= 0 {
 		return tensor.Stress{}
@@ -93,8 +93,6 @@ func (pe *PairEval) StressAt(p geom.Point) tensor.Stress {
 	relY := p.Y - pe.vic.Y
 	r := math.Hypot(relX, relY)
 	if r < pe.rPrime {
-		// Interior of the victim: rare for device-layer points; use
-		// the general (transmitted-field) path.
 		return pe.model.PairStress(p, pe.vic, pe.agg)
 	}
 	// Global angle φ of the point and local angle θ = φ − ψ.
