@@ -9,6 +9,8 @@ package tsvstress
 import (
 	"math"
 	"testing"
+
+	"tsvstress/internal/spatial"
 )
 
 func benchPlacement(b *testing.B) *Placement {
@@ -30,17 +32,23 @@ func BenchmarkAblationTableLS(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationExactLS measures Stage I with exact analytical
-// evaluation instead of the table.
-func BenchmarkAblationExactLS(b *testing.B) {
-	an, err := NewAnalyzer(Baseline(BCB), benchPlacement(b), AnalyzerOptions{Workers: 1, ExactLS: true})
+// BenchmarkAblationLameLS measures Stage I with exact analytical
+// evaluation of the Lamé field (an.LS.Sol) instead of the table, over
+// the same spatial-index neighbour query the table path runs
+// (superpose.TestTableAccuracy bounds the table's error).
+func BenchmarkAblationLameLS(b *testing.B) {
+	an, err := NewAnalyzer(Baseline(BCB), benchPlacement(b), AnalyzerOptions{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	ix := spatial.NewIndex(an.Placement.Centers(), an.LS.Cutoff())
 	p := Pt(5, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = an.StressLS(p)
+		var s Stress
+		an.LS.Near(p, ix, func(c Point, _ float64) {
+			s = s.Add(an.LS.Sol.StressAt(p, c))
+		})
 	}
 }
 

@@ -7,38 +7,6 @@ import (
 	"tsvstress/internal/exp"
 )
 
-// runCompare implements `tsvexp -bench -compare old.json new.json`: it
-// prints the per-metric deltas between two benchmark records and
-// returns the process exit code — 1 when any metric regressed by more
-// than tol, so a CI job can gate on it directly.
-func runCompare(oldPath, newPath string, tol float64) int {
-	oldF, err := os.Open(oldPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer oldF.Close()
-	newF, err := os.Open(newPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer newF.Close()
-	deltas, err := exp.CompareBenchJSON(oldF, newF, tol)
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("comparing %s -> %s (tolerance %.0f%%)", oldPath, newPath, 100*tol)
-	regressions, err := exp.WriteBenchDeltas(os.Stdout, deltas)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if regressions > 0 {
-		log.Printf("%d metric(s) regressed beyond %.0f%%", regressions, 100*tol)
-		return 1
-	}
-	log.Print("no regressions")
-	return 0
-}
-
 // runAgingCompare implements `tsvexp -aging -compare golden.json
 // fresh.json`: every curve metric must sit within tol of the golden
 // and the pitch curve must keep its monotone trend. Exit code 1 on any

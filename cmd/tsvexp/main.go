@@ -6,6 +6,7 @@
 //
 //	tsvexp -out results            # everything, full resolution
 //	tsvexp -quick -only tab1,fig3  # reduced resolution, selected ids
+//	tsvexp -quick -cluster local:2 # cluster benchmark (DESIGN.md §14)
 //
 // Experiment ids: fig3, fig4, tab1, tab3 (BCB pair sweep shares tab1's
 // solves), tab4, tab5 (SiO2 sweep), fig6, tab2 (five-TSV), tab6
@@ -38,24 +39,23 @@ func main() {
 		quick  = flag.Bool("quick", false, "reduced resolution (for smoke runs)")
 		only   = flag.String("only", "", "comma-separated experiment ids (default: all)")
 		seed   = flag.Int64("seed", 2013, "seed for random placements")
-		bench  = flag.Bool("bench", false, "run only the full-chip map benchmark and write BENCH_fullchip.json")
 		agingF = flag.Bool("aging", false, "run the aging lifetime sweep and write AGING_curves.json (with -compare: golden-check two sweep records)")
-		fleet  = flag.String("cluster", "", "with -bench: run the cluster benchmark instead, against local:N in-process workers or a comma-separated worker fleet, and write BENCH_cluster.json")
+		fleet  = flag.String("cluster", "", "run only the cluster benchmark, against local:N in-process workers or a comma-separated worker fleet, and write BENCH_cluster.json")
 		cpuPro = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memPro = flag.String("memprofile", "", "write a heap profile at exit to this file")
-		cmp    = flag.Bool("compare", false, "with -bench: compare two benchmark JSON records (old new) instead of running; exits 1 on a >tolerance regression")
+		cmp    = flag.Bool("compare", false, "with -aging: golden-check two sweep records (golden fresh) instead of running; exits 1 on a >tolerance deviation")
 		cmpTol = flag.Float64("compare-tol", 0.10, "with -compare: fractional regression tolerance")
 	)
 	flag.Parse()
 
 	if *cmp {
+		if !*agingF {
+			log.Fatal("-compare needs -aging")
+		}
 		if flag.NArg() != 2 {
-			log.Fatalf("-compare needs exactly two files (old.json new.json), got %d args", flag.NArg())
+			log.Fatalf("-compare needs exactly two files (golden.json fresh.json), got %d args", flag.NArg())
 		}
-		if *agingF {
-			os.Exit(runAgingCompare(flag.Arg(0), flag.Arg(1), *cmpTol))
-		}
-		os.Exit(runCompare(flag.Arg(0), flag.Arg(1), *cmpTol))
+		os.Exit(runAgingCompare(flag.Arg(0), flag.Arg(1), *cmpTol))
 	}
 
 	stopProf, err := prof.Start(*cpuPro, *memPro)
@@ -115,36 +115,8 @@ func main() {
 		log.Printf("results written to %s", *outDir)
 		return
 	}
-	if *bench && *fleet != "" {
+	if *fleet != "" {
 		runClusterBench(*outDir, *fleet, *quick, *seed)
-		return
-	}
-	if *bench {
-		// Full-chip map throughput: 1000 TSVs, ~200k device-layer grid
-		// points (20k in quick mode), LS and Full through the
-		// tile-batched engine. The JSON record tracks the perf
-		// trajectory across PRs.
-		numPts := 200_000
-		if *quick {
-			numPts = 20_000
-		}
-		log.Printf("bench: full-chip map, 1000 TSVs, ~%d points ...", numPts)
-		t0 := time.Now()
-		r, err := exp.RunFullChipBench(1000, numPts, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		f, err := os.Create(filepath.Join(*outDir, "BENCH_fullchip.json"))
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := exp.WriteFullChipJSON(f, r); err != nil {
-			log.Fatal(err)
-		}
-		closeOut(f)
-		log.Printf("bench done in %v: LS %.0f ns/point, Full %.0f ns/point (%d points, %d pair rounds, %d cached pitches)",
-			time.Since(t0).Round(time.Millisecond), r.LSNsPerPoint, r.FullNsPerPoint, r.NumPoints, r.PairRounds, r.CoeffCacheSize)
-		log.Printf("results written to %s", *outDir)
 		return
 	}
 	cfg := exp.Config{Quick: *quick}

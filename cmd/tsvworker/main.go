@@ -6,7 +6,7 @@
 //
 //	tsvworker -addr :9101 &
 //	tsvworker -addr :9102 &
-//	tsvexp -bench -cluster localhost:9101,localhost:9102
+//	tsvexp -cluster localhost:9101,localhost:9102
 //
 // Endpoints (length-prefixed binary frames over HTTP; DESIGN.md §14):
 //

@@ -149,23 +149,6 @@ func (a *Analyzer) getTileScratch() *tileScratch {
 	return ts
 }
 
-// evalTile gathers the tile's candidate lists once and evaluates every
-// tile point against them, through the SoA lane kernel by default or
-// the scalar oracle under Options.ScalarKernel (ExactLS also forces the
-// scalar Stage I path: there is no radial table to inline).
-//
-//tsvlint:allocfree
-func (a *Analyzer) evalTile(dst []tensor.Stress, pts []geom.Point, order []int32, t tile, halfDiag float64, doLS, doPair bool, ts *tileScratch) {
-	ls2 := a.opt.LSCutoff * a.opt.LSCutoff
-	pd2 := a.opt.PairDistCutoff * a.opt.PairDistCutoff
-	a.gatherTile(t, halfDiag, doLS, doPair, ts)
-	if a.opt.ScalarKernel || (doLS && a.lsRR == nil) {
-		a.evalTileScalar(dst, pts, order, t, ls2, pd2, doLS, doPair, ts)
-		return
-	}
-	a.evalTileSoA(dst, pts, order, t, ls2, pd2, doLS, doPair, ts)
-}
-
 // gatherTile collects the tile's Stage I and Stage II candidates into
 // the scratch lanes: TSV centers within cutoff + tile half-diagonal of
 // the tile center (a strict superset of every tile point's neighbor
@@ -199,75 +182,25 @@ func (a *Analyzer) gatherTile(t tile, halfDiag float64, doLS, doPair bool, ts *t
 	}
 }
 
-// evalTileScalar is the pre-SoA point-outer tile kernel, retained as
-// the parity oracle for the lane kernels (Options.ScalarKernel) and as
-// the Stage I path of ExactLS mode. The differential property test
-// pins the SoA path against it at ≤1e-9 MPa.
+// evalTile is the data-oriented tile kernel. It gathers the tile's
+// candidate lists once (gatherTile), then gathers the tile points into
+// contiguous coordinate lanes, walks three stress-component accumulator
+// lanes linearly in candidate-outer loops, and scatters results back
+// through the tile order exactly once. Stage I inlines the radial-table
+// interpolation (captured as a.lsRR/lsTT lanes) with the rotation
+// rewritten on 1/d², so a contributing candidate costs one sqrt and one
+// division and no method calls; the d² compares, the d² == 0 branch and
+// the knot clamping reproduce the pointwise path's inclusion decisions
+// exactly. Stage II dispatches one AccumulateTile lane sweep per victim
+// (see interact.VictimRounds). Per-point results differ from the
+// pointwise path (mapPointwise) only in round-off and the bounded
+// Stage II truncation — the parity budget stays 1e-9.
 //
 //tsvlint:allocfree
-func (a *Analyzer) evalTileScalar(dst []tensor.Stress, pts []geom.Point, order []int32, t tile, ls2, pd2 float64, doLS, doPair bool, ts *tileScratch) {
-	lsX, lsY := ts.lsX, ts.lsY
-	vicX, vicY, rounds := ts.vicX, ts.vicY, ts.rounds
-	for _, oi := range order[t.lo:t.hi] {
-		p := pts[oi]
-		var s tensor.Stress
-		if doLS {
-			var sxx, syy, sxy float64
-			for k := range lsX {
-				dx := p.X - lsX[k]
-				dy := p.Y - lsY[k]
-				d2 := dx*dx + dy*dy
-				if d2 > ls2 {
-					continue
-				}
-				if d2 == 0 {
-					// Point at a TSV center: uniform body stress, no
-					// rotation (matches the pointwise r == 0 branch).
-					pol := a.LS.Polar(0)
-					sxx += pol.RR
-					syy += pol.TT
-					continue
-				}
-				r := math.Sqrt(d2)
-				pol := a.LS.Polar(r)
-				cphi, sphi := dx/r, dy/r
-				c2, s2, cs := cphi*cphi, sphi*sphi, cphi*sphi
-				// σrθ ≡ 0 for the axisymmetric single-TSV field.
-				sxx += pol.RR*c2 + pol.TT*s2
-				syy += pol.RR*s2 + pol.TT*c2
-				sxy += (pol.RR - pol.TT) * cs
-			}
-			s.XX, s.YY, s.XY = sxx, syy, sxy
-		}
-		if doPair {
-			for k := range vicX {
-				dx := p.X - vicX[k]
-				dy := p.Y - vicY[k]
-				if dx*dx+dy*dy > pd2 {
-					continue
-				}
-				rounds[k].AccumulateAt(p.X, p.Y, &s)
-			}
-		}
-		dst[oi] = s
-	}
-}
-
-// evalTileSoA is the data-oriented tile kernel: tile points are
-// gathered once into contiguous coordinate lanes, three stress-component
-// accumulator lanes are walked linearly by candidate-outer loops, and
-// results scatter back through the tile order exactly once. Stage I
-// inlines the radial-table interpolation (captured as a.lsRR/lsTT
-// lanes) with the rotation rewritten on 1/d², so a contributing
-// candidate costs one sqrt and one division and no method calls; the
-// d² compares, the d² == 0 branch and the knot clamping reproduce the
-// scalar kernel's inclusion decisions exactly. Stage II dispatches one
-// AccumulateTile lane sweep per victim (see interact.VictimRounds).
-// Per-point results differ from the scalar oracle only in round-off
-// and the bounded Stage II truncation — the parity budget stays 1e-9.
-//
-//tsvlint:allocfree
-func (a *Analyzer) evalTileSoA(dst []tensor.Stress, pts []geom.Point, order []int32, t tile, ls2, pd2 float64, doLS, doPair bool, ts *tileScratch) {
+func (a *Analyzer) evalTile(dst []tensor.Stress, pts []geom.Point, order []int32, t tile, halfDiag float64, doLS, doPair bool, ts *tileScratch) {
+	ls2 := a.opt.LSCutoff * a.opt.LSCutoff
+	pd2 := a.opt.PairDistCutoff * a.opt.PairDistCutoff
+	a.gatherTile(t, halfDiag, doLS, doPair, ts)
 	ord := order[t.lo:t.hi]
 	n := len(ord)
 	ts.px = growF64(ts.px, n)

@@ -42,13 +42,6 @@ type Options struct {
 	PairDistCutoff float64
 	// MMax is the interactive-series truncation (default 10).
 	MMax int
-	// ExactLS disables the Stage I look-up table (ablation).
-	ExactLS bool
-	// ScalarKernel forces the pre-SoA scalar tile kernel. It is the
-	// parity oracle for the SoA lane kernels (see batch.go) and a few
-	// times slower; production leaves it false. ExactLS implies the
-	// scalar Stage I path regardless (there is no table to inline).
-	ScalarKernel bool
 	// Workers bounds the parallelism of Map calls (default NumCPU).
 	Workers int
 }
@@ -118,21 +111,13 @@ type Analyzer struct {
 	victimRounds []*interact.VictimRounds
 	numPairs     int
 
-	// Stage I radial table lanes for the fused SoA kernel (nil in
-	// ExactLS mode, which stays on the scalar path); see batch.go.
+	// Stage I radial table lanes for the fused tile kernel; see batch.go.
 	lsRR, lsTT []float64
 	lsInvStep  float64
 
 	// Scratch pools for the batched engine (see batch.go).
 	mapPool  sync.Pool
 	tilePool sync.Pool
-}
-
-// initLSLanes captures the LS radial table for the fused tile kernel.
-func (a *Analyzer) initLSLanes() {
-	if rr, tt, step, ok := a.LS.Table(); ok {
-		a.lsRR, a.lsTT, a.lsInvStep = rr, tt, 1/step
-	}
 }
 
 // New builds the analyzer: it solves the single-TSV model, solves the
@@ -143,7 +128,7 @@ func New(st material.Structure, pl *geom.Placement, opt Options) (*Analyzer, err
 	if err := pl.Validate(2 * st.RPrime); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	ls, err := superpose.New(st, superpose.Options{Cutoff: opt.LSCutoff, Exact: opt.ExactLS})
+	ls, err := superpose.New(st, superpose.Options{Cutoff: opt.LSCutoff})
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +144,8 @@ func New(st material.Structure, pl *geom.Placement, opt Options) (*Analyzer, err
 		opt:       opt,
 		idx:       spatial.NewIndex(pl.Centers(), maxF(opt.LSCutoff, opt.PairDistCutoff)),
 	}
-	a.initLSLanes()
+	rr, tt, step := ls.Table()
+	a.lsRR, a.lsTT, a.lsInvStep = rr, tt, 1/step
 	// Build per-victim pair rounds; rounds at equal pitch share one
 	// coefficient pair via the model's pitch-keyed cache.
 	a.pairEvals = make([][]interact.PairEval, pl.Len())

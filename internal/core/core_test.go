@@ -162,27 +162,6 @@ func TestCutoffOptionsHonored(t *testing.T) {
 	}
 }
 
-func TestExactLSMatchesTableLS(t *testing.T) {
-	d := 9.0
-	pl := geom.NewPlacement(geom.Pt(-d/2, 0), geom.Pt(d/2, 0))
-	tab, err := New(material.Baseline(material.BCB), pl, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := New(material.Baseline(material.BCB), pl, Options{ExactLS: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []geom.Point{{X: 0, Y: 0}, {X: 5, Y: 3}, {X: -6, Y: 1}} {
-		a := tab.StressLS(p)
-		b := ex.StressLS(p)
-		scale := math.Max(1, math.Abs(b.XX)+math.Abs(b.YY))
-		if !eq(a.XX, b.XX, 2e-3*scale) || !eq(a.YY, b.YY, 2e-3*scale) {
-			t.Errorf("table vs exact LS at %v: %v vs %v", p, a, b)
-		}
-	}
-}
-
 func TestEmptyPlacement(t *testing.T) {
 	a, err := New(material.Baseline(material.BCB), geom.NewPlacement(), Options{})
 	if err != nil {

@@ -13,8 +13,8 @@ import (
 // serving tier evaluates: a 1 µm lattice over the placement bounds with
 // no footprint mask, so a large share of points sits inside a victim
 // (liner and body) and, on the array, exactly on every TSV center. Full
-// and Interactive maps from both the SoA and the scalar tile kernel must
-// match the pointwise StressAt/Interactive path within 1e-9 MPa.
+// and Interactive maps from the tile kernel must match the pointwise
+// StressAt/Interactive path within 1e-9 MPa.
 func TestUnmaskedGridParity(t *testing.T) {
 	st := material.Baseline(material.BCB)
 	random, err := placegen.Random(60, 1e-2, 2*st.RPrime+1, 17)
@@ -49,17 +49,15 @@ func TestUnmaskedGridParity(t *testing.T) {
 		if tc.name == "array" && centers != tc.pl.Len() {
 			t.Fatalf("array grid hits %d of %d TSV centers", centers, tc.pl.Len())
 		}
-		for _, scalar := range []bool{false, true} {
-			a, err := New(st, tc.pl, Options{Workers: 2, ScalarKernel: scalar})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, mode := range []Mode{ModeFull, ModeInteractive} {
-				want := pointwiseRef(a, pts, mode)
-				if d := maxDiff(a.Map(pts, mode), want); d > parityTol {
-					t.Errorf("%s scalar=%v mode %v: unmasked grid vs pointwise max diff %.3g MPa (%d interior points)",
-						tc.name, scalar, mode, d, inside)
-				}
+		a, err := New(st, tc.pl, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []Mode{ModeFull, ModeInteractive} {
+			want := pointwiseRef(a, pts, mode)
+			if d := maxDiff(a.Map(pts, mode), want); d > parityTol {
+				t.Errorf("%s mode %v: unmasked grid vs pointwise max diff %.3g MPa (%d interior points)",
+					tc.name, mode, d, inside)
 			}
 		}
 	}

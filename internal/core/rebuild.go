@@ -42,8 +42,10 @@ func (a *Analyzer) Rebuild(pl *geom.Placement, prev func(j int) int) (*Analyzer,
 		Model:     a.Model,
 		opt:       a.opt,
 		idx:       spatial.NewIndex(pl.Centers(), maxF(a.opt.LSCutoff, a.opt.PairDistCutoff)),
+		lsRR:      a.lsRR,
+		lsTT:      a.lsTT,
+		lsInvStep: a.lsInvStep,
 	}
-	nb.initLSLanes()
 	nb.pairEvals = make([][]interact.PairEval, pl.Len())
 	nb.victimRounds = make([]*interact.VictimRounds, pl.Len())
 	for j, vic := range pl.TSVs {

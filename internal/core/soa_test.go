@@ -12,13 +12,6 @@ import (
 	"tsvstress/internal/tensor"
 )
 
-// soaParityTol is the agreement budget between the SoA lane kernels and
-// the scalar oracle, in MPa. The two paths reassociate floating-point
-// work differently (lane accumulators, packed Horner recurrences, the
-// bounded harmonic truncation), so exact equality is not expected;
-// 1e-9 MPa is ~12 orders below the ~100 MPa fields of interest.
-const soaParityTol = 1e-9
-
 // randomPlacement builds a jittered-grid placement that respects the
 // minimum TSV spacing (2·R′) by construction: grid pitch minus jitter
 // stays above it.
@@ -37,14 +30,16 @@ func randomPlacement(rng *rand.Rand, st material.Structure, nx, ny int) *geom.Pl
 	return geom.NewPlacement(pts...)
 }
 
-// Differential property test for the tentpole kernel rewrite: over
-// randomized placements, cutoffs and MMax, the batched SoA engine must
-// match the scalar tile kernel (Options.ScalarKernel) within the parity
-// budget at every point and in every mode. The point set mixes uniform
-// coverage with points snapped near TSV centers and footprint edges,
-// where the interior/exterior classification and the r == 0 branch are
-// exercised.
-func TestSoAMatchesScalarKernel(t *testing.T) {
+// Differential property test for the tile kernel: over randomized
+// placements, cutoffs, MMax and worker counts, the batched engine must
+// match the pointwise path (mapPointwise) within parityTol at every
+// point and in every mode. The two paths reassociate floating-point
+// work differently (lane accumulators, packed Horner recurrences, the
+// bounded harmonic truncation), so exact equality is not expected. The
+// point set mixes uniform coverage with points snapped near TSV centers
+// and footprint edges, where the interior/exterior classification and
+// the r == 0 branch are exercised.
+func TestBatchedMatchesPointwiseRandomized(t *testing.T) {
 	st := material.Baseline(material.BCB)
 	rng := rand.New(rand.NewSource(20130607))
 	for trial := 0; trial < 8; trial++ {
@@ -56,13 +51,7 @@ func TestSoAMatchesScalarKernel(t *testing.T) {
 			MMax:            2 + rng.Intn(12),
 			Workers:         1 + rng.Intn(4),
 		}
-		soa, err := New(st, pl, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sopt := opt
-		sopt.ScalarKernel = true
-		scalar, err := New(st, pl, sopt)
+		a, err := New(st, pl, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,12 +75,15 @@ func TestSoAMatchesScalarKernel(t *testing.T) {
 			}
 		}
 
+		want := make([]tensor.Stress, len(pts))
 		for _, mode := range []Mode{ModeLS, ModeInteractive, ModeFull} {
-			got := soa.Map(pts, mode)
-			want := scalar.Map(pts, mode)
+			got := a.Map(pts, mode)
+			if err := a.mapPointwise(context.Background(), want, pts, mode); err != nil {
+				t.Fatal(err)
+			}
 			for i := range pts {
-				if d := stressDiff(got[i], want[i]); d > soaParityTol {
-					t.Fatalf("trial %d mode %d: SoA kernel diverges from scalar oracle at %v by %g MPa\n soa=%+v\n ref=%+v",
+				if d := stressDiff(got[i], want[i]); d > parityTol {
+					t.Fatalf("trial %d mode %d: tile kernel diverges from pointwise path at %v by %g MPa\n tile=%+v\n ref=%+v",
 						trial, mode, pts[i], d, got[i], want[i])
 				}
 			}
@@ -110,7 +102,9 @@ func stressDiff(a, b tensor.Stress) float64 {
 // Workers: 1 keeps goroutine spawning out of the measurement;
 // AllocsPerRun pins GOMAXPROCS to 1 anyway. The sweep is unmasked and
 // includes every TSV center, so the interior (liner/body) path is part
-// of the measurement.
+// of the measurement. Under the race detector sync.Pool drops pooled
+// items at random, so the pools reallocate and the count is only
+// asserted in non-race builds; the sweep itself still runs.
 func TestMapIntoZeroAllocSteadyState(t *testing.T) {
 	st := material.Baseline(material.BCB)
 	rng := rand.New(rand.NewSource(7))
@@ -137,7 +131,7 @@ func TestMapIntoZeroAllocSteadyState(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if avg != 0 {
+	if avg != 0 && !raceEnabled {
 		t.Fatalf("MapInto allocates %.1f times per steady-state call, want 0", avg)
 	}
 }

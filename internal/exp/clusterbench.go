@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"time"
 
@@ -67,8 +68,9 @@ type ClusterBench struct {
 const ParityBudgetMPa = 1e-9
 
 // RunClusterBench measures the cluster tier over the given worker
-// fleet on the standard full-chip problem (same placement and grid
-// construction as RunFullChipBench). It fails if the cluster map
+// fleet on a full-chip problem: a numTSV random placement at the
+// paper's 1e-2/µm² density under a device-layer grid of about
+// numPoints points, TSV footprints masked. It fails if the cluster map
 // deviates from the single-process map by more than ParityBudgetMPa.
 func RunClusterBench(numTSV, numPoints int, seed int64, addrs []string) (*ClusterBench, error) {
 	st := material.Baseline(material.BCB)
@@ -77,6 +79,7 @@ func RunClusterBench(numTSV, numPoints int, seed int64, addrs []string) (*Cluste
 		return nil, err
 	}
 	region := pl.Bounds(5)
+	// Oversample ~15% so the footprint mask still leaves ~numPoints.
 	spacing := spacingFor(region.Area(), float64(numPoints)*1.15)
 	g, err := field.NewGrid(region, spacing)
 	if err != nil {
@@ -163,6 +166,15 @@ func RunClusterBench(numTSV, numPoints int, seed int64, addrs []string) (*Cluste
 		Requeues:            stats.Requeues,
 		GeneratedAtUnix:     time.Now().Unix(),
 	}, nil
+}
+
+// spacingFor returns the grid spacing that yields about want points
+// over an area in µm².
+func spacingFor(area, want float64) float64 {
+	if want <= 0 || area <= 0 {
+		return 1
+	}
+	return math.Sqrt(area / want)
 }
 
 func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }

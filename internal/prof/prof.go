@@ -1,5 +1,5 @@
 // Package prof is the repo's one profiling seam: file-based CPU/heap
-// profile collection for the CLI tools (tsvexp -bench -cpuprofile ...)
+// profile collection for the CLI tools (tsvexp -only tab6 -cpuprofile ...)
 // and the pprof debug endpoints the serving stack mounts next to
 // /debug/vars. It wraps runtime/pprof and net/http/pprof so the
 // commands share flag semantics and none of them imports the pprof
@@ -76,7 +76,7 @@ func writeHeap(path string) error {
 // profile (heap, goroutine, mutex, ...); /profile streams a CPU
 // profile, /trace an execution trace — `go tool pprof
 // http://host/debug/pprof/profile` against a live tsvserve is the
-// production twin of `tsvexp -bench -cpuprofile`.
+// production twin of `tsvexp -cpuprofile`.
 func Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

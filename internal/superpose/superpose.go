@@ -4,10 +4,10 @@
 // single-TSV stress field, and contributions of TSVs within a cutoff
 // distance of the simulation point are superposed.
 //
-// Two evaluation modes are provided: exact analytical evaluation of the
-// Lamé field, and the paper's table look-up (a precomputed radial
-// profile with linear interpolation), which is the production mode and
-// the one whose run time Table 6 normalizes against.
+// Contributions come from the paper's table look-up: a precomputed
+// radial profile with linear interpolation, the mode whose run time
+// Table 6 normalizes against. The exact Lamé solution it samples
+// (LS.Sol) stays available as the reference tests compare against.
 package superpose
 
 import (
@@ -27,19 +27,14 @@ const DefaultCutoff = 25.0
 type Options struct {
 	// Cutoff is the nearby-TSV distance in µm (default 25).
 	Cutoff float64
-	// Exact disables the radial look-up table and evaluates the Lamé
-	// field analytically at every point (slower; used for ablation).
-	Exact bool
-	// TableStep is the radial table resolution in µm (default 0.01).
-	TableStep float64
 }
+
+// tableStep is the radial look-up table resolution in µm.
+const tableStep = 0.01
 
 func (o Options) withDefaults() Options {
 	if o.Cutoff <= 0 {
 		o.Cutoff = DefaultCutoff
-	}
-	if o.TableStep <= 0 {
-		o.TableStep = 0.01
 	}
 	return o
 }
@@ -60,11 +55,7 @@ func New(st material.Structure, opt Options) (*LS, error) {
 	if err != nil {
 		return nil, fmt.Errorf("superpose: %w", err)
 	}
-	ls := &LS{Struct: st, Sol: sol, opt: opt}
-	if !opt.Exact {
-		ls.table = newRadialTable(sol, opt.Cutoff, opt.TableStep)
-	}
-	return ls, nil
+	return &LS{Struct: st, Sol: sol, opt: opt, table: newRadialTable(sol, opt.Cutoff)}, nil
 }
 
 // Cutoff returns the nearby-TSV distance in use, in µm.
@@ -72,29 +63,20 @@ func (ls *LS) Cutoff() float64 { return ls.opt.Cutoff }
 
 // Polar returns the axisymmetric single-TSV stress profile in MPa at
 // radial distance r ≥ 0 from the center (σrr, σθθ in the TSV's polar
-// frame; σrθ is identically zero), using the table look-up or the exact
-// Lamé solution per Options. Batched engines use it to rotate polar→
+// frame; σrθ is identically zero), from the table look-up. Batched engines use it to rotate polar→
 // Cartesian in place without a per-point Atan2. Beyond the cutoff the
 // value is not meaningful (callers gate on Cutoff).
 func (ls *LS) Polar(r float64) tensor.Polar {
-	if ls.table != nil {
-		return ls.table.at(r)
-	}
-	return ls.Sol.PolarAt(r)
+	return ls.table.at(r)
 }
 
 // Table exposes the radial look-up table backing Polar for fused batch
 // kernels that inline the interpolation: the σrr and σθθ profiles
 // sampled every step µm from r = 0, with linear interpolation between
-// knots and the last interval clamped (exactly what Polar computes in
-// table mode). ok is false in Exact mode, where no table exists and
-// callers must stay on Polar. The slices are the live table — callers
-// must not mutate them.
-func (ls *LS) Table() (rr, tt []float64, step float64, ok bool) {
-	if ls.table == nil {
-		return nil, nil, 0, false
-	}
-	return ls.table.rr, ls.table.tt, ls.table.step, true
+// knots and the last interval clamped (exactly what Polar computes).
+// The slices are the live table — callers must not mutate them.
+func (ls *LS) Table() (rr, tt []float64, step float64) {
+	return ls.table.rr, ls.table.tt, tableStep
 }
 
 // Contribution returns the stress contribution in MPa of a single TSV
@@ -143,16 +125,15 @@ func (ls *LS) contributionAt(p, c geom.Point, r float64) tensor.Stress {
 // on a uniform radial grid for linear interpolation — the paper's
 // "table look-up method".
 type radialTable struct {
-	step float64
-	rr   []float64
-	tt   []float64
+	rr []float64
+	tt []float64
 }
 
-func newRadialTable(sol *lame.Solution, cutoff, step float64) *radialTable {
-	n := int(cutoff/step) + 2
-	t := &radialTable{step: step, rr: make([]float64, n), tt: make([]float64, n)}
+func newRadialTable(sol *lame.Solution, cutoff float64) *radialTable {
+	n := int(cutoff/tableStep) + 2
+	t := &radialTable{rr: make([]float64, n), tt: make([]float64, n)}
 	for i := 0; i < n; i++ {
-		p := sol.PolarAt(float64(i) * step)
+		p := sol.PolarAt(float64(i) * tableStep)
 		t.rr[i] = p.RR
 		t.tt[i] = p.TT
 	}
@@ -160,7 +141,7 @@ func newRadialTable(sol *lame.Solution, cutoff, step float64) *radialTable {
 }
 
 func (t *radialTable) at(r float64) tensor.Polar {
-	f := r / t.step
+	f := r / tableStep
 	i := int(f)
 	if i >= len(t.rr)-1 {
 		i = len(t.rr) - 2
