@@ -289,7 +289,7 @@ func (w *Worker) handleEval(rw http.ResponseWriter, r *http.Request) {
 		workerError(rw, http.StatusInternalServerError, "injected: "+err.Error())
 		return
 	}
-	if err := job.an.EvalTiles(r.Context(), job.dst, job.pts, job.tl, asn.IDs, asn.Mode); err != nil {
+	if err := job.an.EvalTiles(r.Context(), job.dst, job.pts, job.tl, asn.IDs, nil, asn.Mode); err != nil {
 		// Before the first byte of the body the status line is still
 		// ours to choose; report eval failures as a 500 so the
 		// coordinator's retry logic sees one uniform shape.

@@ -64,8 +64,10 @@ type tileScratch struct {
 	vicY     []float64
 	rounds   []*interact.VictimRounds
 
-	// SoA lanes, one slot per tile point in tile (order) position:
+	// SoA lanes, one slot per evaluated tile point in tile (order)
+	// position: the selected point indices (masked EvalTiles only),
 	// gathered coordinates and the three stress-component accumulators.
+	sel           []int32
 	px, py        []float64
 	sxx, syy, sxy []float64
 }
@@ -136,7 +138,7 @@ func (a *Analyzer) mapBatched(ctx context.Context, dst []tensor.Stress, pts []ge
 		tl = &Tiling{}
 	}
 	tl.build(pts, cutoff)
-	err := a.evalTileSet(ctx, dst, pts, tl, nil, doLS, doPair)
+	err := a.evalTileSet(ctx, dst, pts, tl, nil, nil, doLS, doPair)
 	a.mapPool.Put(tl)
 	return err
 }
@@ -183,10 +185,11 @@ func (a *Analyzer) gatherTile(t tile, halfDiag float64, doLS, doPair bool, ts *t
 }
 
 // evalTile is the data-oriented tile kernel. It gathers the tile's
-// candidate lists once (gatherTile), then gathers the tile points into
-// contiguous coordinate lanes, walks three stress-component accumulator
-// lanes linearly in candidate-outer loops, and scatters results back
-// through the tile order exactly once. Stage I inlines the radial-table
+// candidate lists once (gatherTile), then gathers the tile points (only
+// the flagged ones when mask is non-nil) into contiguous coordinate
+// lanes, walks three stress-component accumulator lanes linearly in
+// candidate-outer loops, and scatters results back through the tile
+// order exactly once. Stage I inlines the radial-table
 // interpolation (captured as a.lsRR/lsTT lanes) with the rotation
 // rewritten on 1/d², so a contributing candidate costs one sqrt and one
 // division and no method calls; the d² compares, the d² == 0 branch and
@@ -197,12 +200,23 @@ func (a *Analyzer) gatherTile(t tile, halfDiag float64, doLS, doPair bool, ts *t
 // Stage II truncation — the parity budget stays 1e-9.
 //
 //tsvlint:allocfree
-func (a *Analyzer) evalTile(dst []tensor.Stress, pts []geom.Point, order []int32, t tile, halfDiag float64, doLS, doPair bool, ts *tileScratch) {
+func (a *Analyzer) evalTile(dst []tensor.Stress, pts []geom.Point, order []int32, t tile, halfDiag float64, mask []bool, doLS, doPair bool, ts *tileScratch) {
 	ls2 := a.opt.LSCutoff * a.opt.LSCutoff
 	pd2 := a.opt.PairDistCutoff * a.opt.PairDistCutoff
-	a.gatherTile(t, halfDiag, doLS, doPair, ts)
 	ord := order[t.lo:t.hi]
+	if mask != nil {
+		ts.sel = growI32(ts.sel, len(ord))
+		k := 0
+		for _, oi := range ord {
+			if mask[oi] {
+				ts.sel[k] = oi
+				k++
+			}
+		}
+		ord = ts.sel[:k]
+	}
 	n := len(ord)
+	a.gatherTile(t, halfDiag, doLS, doPair, ts)
 	ts.px = growF64(ts.px, n)
 	ts.py = growF64(ts.py, n)
 	ts.sxx = growF64(ts.sxx, n)

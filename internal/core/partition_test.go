@@ -104,7 +104,7 @@ func TestShardedEvalMatchesMapInto(t *testing.T) {
 				continue
 			}
 			buf := make([]tensor.Stress, len(pts))
-			if err := an.EvalTiles(context.Background(), buf, pts, tl, ids, ModeFull); err != nil {
+			if err := an.EvalTiles(context.Background(), buf, pts, tl, ids, nil, ModeFull); err != nil {
 				t.Fatalf("k=%d: %v", k, err)
 			}
 			for _, id := range ids {

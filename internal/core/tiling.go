@@ -20,18 +20,24 @@ import (
 // the tile-batched engine. MapInto builds one transiently per call; the
 // incremental engine (internal/incr) builds one once per session and
 // keeps it for the lifetime of the point set, re-evaluating only the
-// tiles an edit dirtied through EvalTiles.
+// points an edit dirtied through EvalTiles.
 //
 // A Tiling is immutable after NewTiling and safe for concurrent use;
 // the zero value is reusable scratch for the pooled MapInto path.
 type Tiling struct {
-	tileOf []int32 // build scratch: point → tile id
+	tileOf []int32 // build scratch: point → grid cell
 	counts []int32 // build scratch: counting sort
 	order  []int32 // point indices sorted by tile
 	tiles  []tile
-	half   float64 // tile half-diagonal
-	cutoff float64 // the gather-radius argument build was called with
-	n      int     // number of partitioned points
+	// cells maps a grid cell to its tile id (-1 when empty). Only
+	// NewTiling fills it; the pooled MapInto build never queries cells.
+	cells      []int32
+	minX, minY float64 // grid origin
+	side       float64 // tile side
+	nx, ny     int     // grid dimensions in cells
+	half       float64 // tile half-diagonal
+	cutoff     float64 // the gather-radius argument build was called with
+	n          int     // number of partitioned points
 }
 
 // NewTiling partitions pts into square tiles sized for gather radius
@@ -51,6 +57,13 @@ func NewTiling(pts []geom.Point, cutoff float64) (*Tiling, error) {
 	}
 	tl := &Tiling{}
 	tl.build(pts, cutoff)
+	tl.cells = make([]int32, tl.nx*tl.ny)
+	for i := range tl.cells {
+		tl.cells[i] = -1
+	}
+	for id, t := range tl.tiles {
+		tl.cells[tl.tileOf[tl.order[t.lo]]] = int32(id)
+	}
 	return tl, nil
 }
 
@@ -60,11 +73,6 @@ func (tl *Tiling) NumPoints() int { return tl.n }
 // NumTiles returns the number of non-empty tiles.
 func (tl *Tiling) NumTiles() int { return len(tl.tiles) }
 
-// HalfDiag returns the tile half-diagonal in µm — the slack a caller
-// must add to a point-level radius to turn it into a tile-center
-// radius.
-func (tl *Tiling) HalfDiag() float64 { return tl.half }
-
 // Cutoff returns the gather-radius cutoff (µm) the tiling was built
 // for. Two
 // tilings built over the same point slice with the same cutoff are
@@ -73,18 +81,59 @@ func (tl *Tiling) HalfDiag() float64 { return tl.half }
 // alone and exchange bare tile ids over the wire.
 func (tl *Tiling) Cutoff() float64 { return tl.cutoff }
 
-// TileCenter returns the center of tile id.
-func (tl *Tiling) TileCenter(id int) geom.Point {
-	t := tl.tiles[id]
-	return geom.Pt(t.cx, t.cy)
-}
-
 // TilePoints returns the indices (into the partitioned point slice) of
 // the points in tile id. The slice aliases the tiling's internal order
 // buffer; callers must not mutate it.
 func (tl *Tiling) TilePoints(id int) []int32 {
 	t := tl.tiles[id]
 	return tl.order[t.lo:t.hi]
+}
+
+// AppendTilesNear appends to dst the ids of the non-empty tiles whose
+// squares meet the bounding box of disc(c, r) and returns it: a
+// superset of the tiles holding a point within r of c, found in
+// O(box cells) rather than O(tiles). The cell range is computed with
+// the same arithmetic that binned the points, so a point inside the box
+// is never missed to rounding. Only tilings built by NewTiling support
+// the query.
+func (tl *Tiling) AppendTilesNear(dst []int32, c geom.Point, r float64) []int32 {
+	if len(tl.cells) == 0 {
+		return dst
+	}
+	invT := 1 / tl.side
+	tx0, tx1, okX := cellSpan(c.X-r, c.X+r, tl.minX, invT, tl.nx)
+	ty0, ty1, okY := cellSpan(c.Y-r, c.Y+r, tl.minY, invT, tl.ny)
+	if !okX || !okY {
+		return dst
+	}
+	for ty := ty0; ty <= ty1; ty++ {
+		row := tl.cells[ty*tl.nx : (ty+1)*tl.nx]
+		for tx := tx0; tx <= tx1; tx++ {
+			if id := row[tx]; id >= 0 {
+				dst = append(dst, id)
+			}
+		}
+	}
+	return dst
+}
+
+// cellSpan returns the grid cells [first, last] along one axis that the
+// interval [lo, hi] reaches, and false when it misses the grid. The
+// cell index is build's (x-origin)*invT truncation, which is monotone in
+// x, so every point binned into a cell outside the span lies outside
+// the interval.
+func cellSpan(lo, hi, origin, invT float64, n int) (first, last int, ok bool) {
+	if hi < origin {
+		return 0, 0, false
+	}
+	if lo > origin {
+		f := (lo - origin) * invT
+		if f >= float64(n) {
+			return 0, 0, false
+		}
+		first = int(f)
+	}
+	return first, clampI(int((hi-origin)*invT), 0, n-1), true
 }
 
 // build bins pts into square tiles of side ~cutoff/2 and counting-sorts
@@ -123,13 +172,17 @@ func (tl *Tiling) build(pts []geom.Point, cutoff float64) {
 	if h > t*maxTileGridDim {
 		t = h / maxTileGridDim
 	}
-	nx := int(w/t) + 1
-	ny := int(h/t) + 1
+	// The grid size uses the binning arithmetic below, so the largest
+	// coordinate lands in the last cell without clamping (cellSpan
+	// relies on it).
+	invT := 1 / t
+	nx := int(w*invT) + 1
+	ny := int(h*invT) + 1
+	tl.minX, tl.minY, tl.side, tl.nx, tl.ny = minX, minY, t, nx, ny
 
 	tl.tileOf = growI32(tl.tileOf, len(pts))
 	tl.counts = growI32(tl.counts, nx*ny)
 	clear(tl.counts)
-	invT := 1 / t
 	for i, p := range pts {
 		tx := clampI(int((p.X-minX)*invT), 0, nx-1)
 		ty := clampI(int((p.Y-minY)*invT), 0, ny-1)
@@ -161,13 +214,15 @@ func (tl *Tiling) build(pts []geom.Point, cutoff float64) {
 	tl.half = t * math.Sqrt2 / 2
 }
 
-// EvalTiles evaluates the selected field at every point of the listed
+// EvalTiles evaluates the selected field at the points of the listed
 // tiles, writing into the matching dst slots and leaving all other
 // slots untouched — the partial-recompute primitive behind the
 // incremental engine. pts must be the point slice tl was built over
 // (same length and order) and dst must match it; ids must be valid tile
-// ids. Results are identical to the corresponding slots of a full
-// MapInto (both paths run the same per-tile kernel).
+// ids. A non-nil mask (one flag per point) restricts the evaluation to
+// the flagged points of those tiles; nil means every point. Results are
+// identical to the corresponding slots of a full MapInto (both paths
+// run the same per-tile kernel).
 //
 // Cancellation is cooperative and checked per tile: when ctx is
 // canceled or its deadline expires, at most one in-flight tile per
@@ -177,12 +232,15 @@ func (tl *Tiling) build(pts []geom.Point, cutoff float64) {
 // cancellation. A panic inside a tile kernel is recovered on its worker
 // goroutine and returned as a *PanicError instead of killing the
 // process.
-func (a *Analyzer) EvalTiles(ctx context.Context, dst []tensor.Stress, pts []geom.Point, tl *Tiling, ids []int32, mode Mode) error {
+func (a *Analyzer) EvalTiles(ctx context.Context, dst []tensor.Stress, pts []geom.Point, tl *Tiling, ids []int32, mask []bool, mode Mode) error {
 	if len(dst) != len(pts) {
 		return errDstLen(len(dst), len(pts))
 	}
 	if tl.n != len(pts) {
 		return fmt.Errorf("core: tiling partitions %d points, got %d", tl.n, len(pts))
+	}
+	if mask != nil && len(mask) != len(pts) {
+		return fmt.Errorf("core: point mask has %d flags, want %d", len(mask), len(pts))
 	}
 	for _, id := range ids {
 		if id < 0 || int(id) >= len(tl.tiles) {
@@ -194,7 +252,7 @@ func (a *Analyzer) EvalTiles(ctx context.Context, dst []tensor.Stress, pts []geo
 	}
 	doLS := mode == ModeLS || mode == ModeFull
 	doPair := mode == ModeFull || mode == ModeInteractive
-	return a.evalTileSet(ctx, dst, pts, tl, ids, doLS, doPair)
+	return a.evalTileSet(ctx, dst, pts, tl, ids, mask, doLS, doPair)
 }
 
 // tileCursor is the shared work-stealing state of one evalTileSet
@@ -225,12 +283,12 @@ func ctxDone(ctx context.Context) <-chan struct{} {
 	return ctx.Done()
 }
 
-// evalTileSet drains the tile queue (ids == nil means every tile) with
-// the analyzer's worker budget; each worker owns one pooled scratch
-// buffer set reused across its tiles. Between tiles every worker polls
+// evalTileSet drains the tile queue (ids == nil means every tile, mask
+// == nil every point of a tile) with the analyzer's worker budget; each
+// worker owns one pooled scratch buffer set reused across its tiles. Between tiles every worker polls
 // the context's done channel; a recovered worker panic wins over a
 // concurrent cancellation.
-func (a *Analyzer) evalTileSet(ctx context.Context, dst []tensor.Stress, pts []geom.Point, tl *Tiling, ids []int32, doLS, doPair bool) error {
+func (a *Analyzer) evalTileSet(ctx context.Context, dst []tensor.Stress, pts []geom.Point, tl *Tiling, ids []int32, mask []bool, doLS, doPair bool) error {
 	nTiles := nTilesFor(ids, tl)
 	done := ctxDone(ctx)
 	cur := cursorPool.Get().(*tileCursor)
@@ -242,7 +300,7 @@ func (a *Analyzer) evalTileSet(ctx context.Context, dst []tensor.Stress, pts []g
 	}
 	var firstErr error
 	if workers <= 1 {
-		firstErr = a.drainTiles(dst, pts, tl, ids, nTiles, cur, done, doLS, doPair)
+		firstErr = a.drainTiles(dst, pts, tl, ids, mask, nTiles, cur, done, doLS, doPair)
 	} else {
 		errs := make([]error, workers)
 		var wg sync.WaitGroup
@@ -250,7 +308,7 @@ func (a *Analyzer) evalTileSet(ctx context.Context, dst []tensor.Stress, pts []g
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				errs[w] = a.drainTiles(dst, pts, tl, ids, nTiles, cur, done, doLS, doPair)
+				errs[w] = a.drainTiles(dst, pts, tl, ids, mask, nTiles, cur, done, doLS, doPair)
 			}(w)
 		}
 		wg.Wait()
@@ -280,7 +338,7 @@ func (a *Analyzer) evalTileSet(ctx context.Context, dst []tensor.Stress, pts []g
 // empty or the done channel fires, recovering a tile-kernel panic into
 // a *PanicError. The "core.tile.eval" fault-injection site fires once
 // per tile (test-only: one atomic load when unarmed).
-func (a *Analyzer) drainTiles(dst []tensor.Stress, pts []geom.Point, tl *Tiling, ids []int32, nTiles int, cur *tileCursor, done <-chan struct{}, doLS, doPair bool) (err error) {
+func (a *Analyzer) drainTiles(dst []tensor.Stress, pts []geom.Point, tl *Tiling, ids []int32, mask []bool, nTiles int, cur *tileCursor, done <-chan struct{}, doLS, doPair bool) (err error) {
 	ts := a.getTileScratch()
 	defer a.tilePool.Put(ts)
 	defer func() {
@@ -305,7 +363,7 @@ func (a *Analyzer) drainTiles(dst []tensor.Stress, pts []geom.Point, tl *Tiling,
 		if ids != nil {
 			t = tl.tiles[ids[k]]
 		}
-		a.evalTile(dst, pts, tl.order, t, tl.half, doLS, doPair, ts)
+		a.evalTile(dst, pts, tl.order, t, tl.half, mask, doLS, doPair, ts)
 		cur.completed.Add(1)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // TestFlushCanceledThenRetryRestoresParity pins the engine's
 // cancel-then-retry contract: a Flush aborted mid-evaluation returns an
 // error matching core.ErrCanceled, leaves the engine reusable (dirty
-// tiles retained, analyzer rebuild committed), and the next Flush
+// set retained, analyzer rebuild committed), and the next Flush
 // restores exact parity with a from-scratch evaluation.
 func TestFlushCanceledThenRetryRestoresParity(t *testing.T) {
 	defer faultinject.Reset()
@@ -40,7 +40,7 @@ func TestFlushCanceledThenRetryRestoresParity(t *testing.T) {
 		t.Fatalf("CanceledFlushes = %d, want 1", e.Stats().CanceledFlushes)
 	}
 	if !e.NeedsFlush() {
-		t.Fatal("canceled flush cleared NeedsFlush; the owed tiles would never re-evaluate")
+		t.Fatal("canceled flush cleared NeedsFlush; the owed points would never re-evaluate")
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("Pending = %d after the rebuild committed, want 0", e.Pending())
@@ -55,7 +55,7 @@ func TestFlushCanceledThenRetryRestoresParity(t *testing.T) {
 
 // TestFlushDegradedThenFullRestoresParity pins the degradation ladder:
 // a degraded flush applies the edits with Stage-I-only values in the
-// dirty tiles, reports Degraded, and a later full Flush heals back to
+// dirty points, reports Degraded, and a later full Flush heals back to
 // exact full-mode parity.
 func TestFlushDegradedThenFullRestoresParity(t *testing.T) {
 	e, st := testSession(t, 60, 12, 1.0, core.ModeFull)
@@ -73,7 +73,7 @@ func TestFlushDegradedThenFullRestoresParity(t *testing.T) {
 		t.Fatalf("DegradedFlushes = %d, want 1", e.Stats().DegradedFlushes)
 	}
 	if !e.NeedsFlush() {
-		t.Fatal("degraded tiles still owe a full-mode pass; NeedsFlush must hold")
+		t.Fatal("degraded points still owe a full-mode pass; NeedsFlush must hold")
 	}
 
 	// checkParity runs a regular Flush first, which heals the map.

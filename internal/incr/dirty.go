@@ -7,23 +7,23 @@ import (
 	"tsvstress/internal/geom"
 )
 
-// dirtySlack absorbs floating-point rounding in the disc-vs-tile
-// distance tests, keeping the dirty tile set a strict superset of the
+// dirtySlack absorbs floating-point rounding in the point-vs-disc
+// distance test, keeping the dirty point set a strict superset of the
 // affected points (mirrors the gather slack inside core's tile engine).
 const dirtySlack = 1e-6
 
-// markEdit marks every tile an edit with the given sites (old and/or
+// markEdit marks every point an edit with the given sites (old and/or
 // new TSV centers) can affect, and invalidates the round-reuse mapping
 // of every victim whose aggressor set the edit changed.
 //
-// Locality argument (the dirty-tile invariant, DESIGN.md §12): a point
+// Locality argument (the dirty-set invariant, DESIGN.md §12): a point
 // p changes value only if (a) a site is within LSCutoff of p — Stage I
 // gains or loses that single-TSV contribution — or (b) some victim v
 // with a changed round set is within PairDistCutoff of p. Changed
 // victims are exactly the edited TSV itself (a site) and the TSVs
 // within PairPitchCutoff of a site. Marking disc(site, siteRadius) and
 // disc(v, PairDistCutoff) for those victims therefore covers every
-// affected point; tile membership adds the half-diagonal.
+// affected point.
 func (e *Engine) markEdit(sites []geom.Point) {
 	opt := e.an.Options()
 	pair := e.mode == core.ModeFull || e.mode == core.ModeInteractive
@@ -37,7 +37,7 @@ func (e *Engine) markEdit(sites []geom.Point) {
 	// Victims whose round set changed: TSVs within PairPitchCutoff of a
 	// site. Their packed rounds must be re-aggregated at the next flush
 	// regardless of mode (the rebuilt analyzer also backs reliability
-	// screening); their influence discs dirty tiles only when Stage II
+	// screening); their influence discs dirty points only when Stage II
 	// contributes to the session's field.
 	pitch2 := opt.PairPitchCutoff * opt.PairPitchCutoff
 	for u := range e.pl.TSVs {
@@ -56,31 +56,44 @@ func (e *Engine) markEdit(sites []geom.Point) {
 	}
 }
 
-// markDisc marks dirty every tile whose points could lie within radius
-// of c.
+// markDisc marks dirty every point within radius of c, and the tiles
+// holding them. Only the tiles near the disc are visited; their query
+// box is widened by one more slack so a point the distance test accepts
+// is never lost to rounding in the box.
 func (e *Engine) markDisc(c geom.Point, radius float64) {
-	r := radius + e.tiling.HalfDiag() + dirtySlack
+	r := radius + dirtySlack
 	r2 := r * r
-	n := e.tiling.NumTiles()
-	for id := 0; id < n; id++ {
-		if e.dirty[id] {
-			continue
+	e.near = e.tiling.AppendTilesNear(e.near[:0], c, r+dirtySlack)
+	for _, id := range e.near {
+		hit := false
+		for _, pi := range e.tiling.TilePoints(int(id)) {
+			if e.mask[pi] {
+				continue
+			}
+			p := e.pts[pi]
+			dx := p.X - c.X
+			dy := p.Y - c.Y
+			if dx*dx+dy*dy <= r2 {
+				e.mask[pi] = true
+				e.dirtyPts++
+				hit = true
+			}
 		}
-		tc := e.tiling.TileCenter(id)
-		dx := tc.X - c.X
-		dy := tc.Y - c.Y
-		if dx*dx+dy*dy <= r2 {
+		if hit && !e.dirty[id] {
 			e.dirty[id] = true
+			e.ids = append(e.ids, id)
 		}
 	}
 }
 
-// collectDirty appends the ids of the set tiles to dst and returns it.
-func collectDirty(dst []int32, dirty []bool) []int32 {
-	for id := range dirty {
-		if dirty[id] {
-			dst = append(dst, int32(id))
+// clearDirty empties the dirty set, visiting only the dirty tiles.
+func (e *Engine) clearDirty() {
+	for _, id := range e.ids {
+		e.dirty[id] = false
+		for _, pi := range e.tiling.TilePoints(int(id)) {
+			e.mask[pi] = false
 		}
 	}
-	return dst
+	e.ids = e.ids[:0]
+	e.dirtyPts = 0
 }

@@ -17,15 +17,16 @@
 //     within PairPitchCutoff of an edit site.
 //
 // The engine pins one core.Tiling over the session's fixed simulation
-// points, marks the tiles intersecting those discs dirty as edits are
-// applied, and on Flush rebuilds the analyzer through the edit-aware
-// constructor (core.Analyzer.Rebuild — shared Stage I table, shared
-// interactive model and pitch-coefficient cache, per-victim rounds
-// re-aggregated only where an edit touched them) and re-evaluates just
-// the dirty tiles concurrently. Clean tiles keep their values, which is
-// exact: their true field is unchanged, and the dirty-disc geometry
-// above is a superset of every affected point (the parity property test
-// pins incremental-vs-scratch agreement at ≤1e-9 MPa).
+// points (the partition MapInto uses). As edits are applied it marks
+// dirty exactly the points inside those discs, visiting only the tiles
+// near each disc, and on Flush rebuilds the analyzer through the
+// edit-aware constructor (core.Analyzer.Rebuild — shared Stage I table,
+// shared interactive model and pitch-coefficient cache, per-victim
+// rounds re-aggregated only where an edit touched them) and
+// re-evaluates just the dirty points of the dirty tiles concurrently.
+// Clean points keep their values, which is exact: their true field is
+// unchanged, and the dirty discs cover every affected point (the parity
+// property test pins incremental-vs-scratch agreement at ≤1e-9 MPa).
 //
 // An Engine is not safe for concurrent use; callers (internal/serve
 // sessions) serialize access.
@@ -62,16 +63,22 @@ type Engine struct {
 	// when its center and full aggressor neighborhood are unchanged
 	// since the flush, else -1 (see core.Analyzer.Rebuild).
 	prevIdx []int
-	dirty   []bool  // per-tile dirty flags
-	ids     []int32 // scratch: dirty tile ids for EvalTiles
+	// Dirty set: mask flags the points a flush owes, dirty flags their
+	// tiles, ids lists the flagged tiles in marking order, dirtyPts
+	// counts the flagged points.
+	mask     []bool
+	dirty    []bool
+	ids      []int32
+	dirtyPts int
+	near     []int32 // scratch: tiles near one influence disc
 
 	pendingEdits int
-	// needsEval forces the next Flush to re-evaluate the dirty tiles
+	// needsEval forces the next Flush to re-evaluate the dirty points
 	// even with no pending edits: set when a flush was canceled after
 	// committing its analyzer rebuild, or after a degraded (LS-only)
-	// flush whose tiles still owe a full-mode pass.
+	// flush whose points still owe a full-mode pass.
 	needsEval bool
-	// degraded reports that the dirty tiles currently hold Stage-I-only
+	// degraded reports that the dirty points currently hold Stage-I-only
 	// values (a load-shedding flush); cleared by the next full flush.
 	degraded bool
 	stats    Stats
@@ -85,13 +92,14 @@ type Stats struct {
 	Flushes int
 	// TotalTiles is the tile count of the session's partition.
 	TotalTiles int
-	// LastDirtyTiles is the number of tiles the last flush re-evaluated.
+	// LastDirtyTiles is the number of tiles holding the points the last
+	// flush re-evaluated.
 	LastDirtyTiles int
-	// LastDirtyRatio is LastDirtyTiles / TotalTiles (0 when no flush
-	// has run).
+	// LastDirtyRatio is the share of the session's points the last
+	// flush re-evaluated (0 when no flush has run).
 	LastDirtyRatio float64
 	// DegradedFlushes counts load-shedding flushes that evaluated dirty
-	// tiles in LS mode only (see FlushDegraded).
+	// points in LS mode only (see FlushDegraded).
 	DegradedFlushes int
 	// CanceledFlushes counts Flush calls aborted by context
 	// cancellation after at least the analyzer rebuild committed.
@@ -117,20 +125,11 @@ func New(ctx context.Context, st material.Structure, pl *geom.Placement, pts []g
 	if err != nil {
 		return nil, err
 	}
-	eff := an.Options()
-	cutoff := eff.LSCutoff
-	if (mode == core.ModeFull || mode == core.ModeInteractive) && eff.PairDistCutoff > cutoff {
-		cutoff = eff.PairDistCutoff
-	}
 	own := append([]geom.Point(nil), pts...)
-	// Partition finer than MapInto's transient tiling (side cutoff/16
-	// instead of cutoff/2): an edit dirties the tiles intersecting its
-	// influence discs, so a smaller half-diagonal both tightens that
-	// tile set and shrinks the per-tile gather radius, at a per-tile
-	// gather overhead that stays negligible against the points a
-	// coarser dirty boundary would needlessly re-evaluate (measured:
-	// single-move flush 470 ms → 302 ms on the 1000-TSV/250k-pt bench).
-	tl, err := core.NewTiling(own, cutoff/8)
+	// The same partition MapInto uses: the dirty set is tracked per
+	// point, so the tile size only trades the per-tile candidate gather
+	// against the points sharing it, exactly as in a full map.
+	tl, err := core.NewTiling(own, an.Options().GatherCutoff(mode))
 	if err != nil {
 		return nil, err
 	}
@@ -144,6 +143,7 @@ func New(ctx context.Context, st material.Structure, pl *geom.Placement, pts []g
 		tiling:   tl,
 		vals:     make([]tensor.Stress, len(own)),
 		prevIdx:  make([]int, pl.Len()),
+		mask:     make([]bool, len(own)),
 		dirty:    make([]bool, tl.NumTiles()),
 	}
 	for j := range e.prevIdx {
@@ -189,7 +189,7 @@ func (e *Engine) Analyzer() *core.Analyzer { return e.an }
 func (e *Engine) Pending() int { return e.pendingEdits }
 
 // NeedsFlush reports whether Flush would do work: edits are pending, or
-// dirty tiles still owe an evaluation after a canceled or degraded
+// dirty points still owe an evaluation after a canceled or degraded
 // flush.
 func (e *Engine) NeedsFlush() bool { return e.pendingEdits > 0 || e.needsEval }
 
@@ -202,7 +202,7 @@ func (e *Engine) Stats() Stats {
 }
 
 // Apply validates ed against the current placement and applies it,
-// marking the affected tiles dirty. The field map is not updated until
+// marking the affected points dirty. The field map is not updated until
 // Flush. A failed edit leaves the session unchanged.
 func (e *Engine) Apply(ed geom.Edit) error {
 	// Test-only drill (one atomic load when unarmed): an injected
@@ -255,22 +255,22 @@ func (e *Engine) Apply(ed geom.Edit) error {
 
 // Flush rebuilds the analyzer for the edited placement (reusing the
 // solved models and every untouched victim's packed rounds) and
-// re-evaluates the dirty tiles, returning the updated map (the same
+// re-evaluates the dirty points, returning the updated map (the same
 // slice Values returns). With no pending work it returns immediately.
 //
 // Cancellation is cooperative (per tile): when ctx fires mid-flush the
 // call returns an error matching core.ErrCanceled, but the engine stays
-// reusable — the analyzer rebuild is committed, the dirty flags stay
-// set, and the next Flush re-evaluates exactly the owed tiles, so a
+// reusable — the analyzer rebuild is committed, the dirty set stays
+// marked, and the next Flush re-evaluates exactly the owed points, so a
 // retry restores full parity with a from-scratch evaluation.
 func (e *Engine) Flush(ctx context.Context) ([]tensor.Stress, error) {
 	return e.flush(ctx, e.mode)
 }
 
 // FlushDegraded is the load-shedding variant for sessions pinned to
-// core.ModeFull: it applies pending edits but evaluates the dirty tiles
+// core.ModeFull: it applies pending edits but evaluates the dirty points
 // in LS (Stage I only) mode, which skips the pair-round accumulation —
-// the expensive part of a full-mode flush. The tiles stay marked dirty
+// the expensive part of a full-mode flush. The points stay marked dirty
 // and Degraded reports true until a later Flush re-evaluates them in
 // the session's pinned mode, restoring parity. For sessions not pinned
 // to Full mode it behaves exactly like Flush (there is nothing cheaper
@@ -283,7 +283,7 @@ func (e *Engine) FlushDegraded(ctx context.Context) ([]tensor.Stress, error) {
 }
 
 // Degraded reports whether the map currently holds Stage-I-only values
-// in its dirty tiles after a FlushDegraded; the next Flush clears it.
+// at its dirty points after a FlushDegraded; the next Flush clears it.
 func (e *Engine) Degraded() bool { return e.degraded }
 
 func (e *Engine) flush(ctx context.Context, mode core.Mode) ([]tensor.Stress, error) {
@@ -307,29 +307,26 @@ func (e *Engine) flush(ctx context.Context, mode core.Mode) ([]tensor.Stress, er
 		e.pendingEdits = 0
 		e.needsEval = true
 	}
-	e.ids = collectDirty(e.ids[:0], e.dirty)
-	if err := e.an.EvalTiles(ctx, e.vals, e.pts, e.tiling, e.ids, mode); err != nil {
-		// Dirty flags stay set: the next Flush retries the evaluation
-		// against the already-committed analyzer.
+	if err := e.an.EvalTiles(ctx, e.vals, e.pts, e.tiling, e.ids, e.mask, mode); err != nil {
+		// The dirty set stays marked: the next Flush retries the
+		// evaluation against the already-committed analyzer.
 		if errors.Is(err, core.ErrCanceled) {
 			e.stats.CanceledFlushes++
 		}
 		return nil, err
 	}
+	e.stats.Flushes++
+	e.stats.LastDirtyTiles = len(e.ids)
+	e.stats.LastDirtyRatio = float64(e.dirtyPts) / float64(len(e.pts))
 	if mode != e.mode {
-		// Degraded pass: the tiles hold LS-only values and still owe a
+		// Degraded pass: the points hold LS-only values and still owe a
 		// full-mode evaluation — keep them dirty.
 		e.degraded = true
 		e.stats.DegradedFlushes++
 	} else {
-		for i := range e.dirty {
-			e.dirty[i] = false
-		}
+		e.clearDirty()
 		e.needsEval = false
 		e.degraded = false
 	}
-	e.stats.Flushes++
-	e.stats.LastDirtyTiles = len(e.ids)
-	e.stats.LastDirtyRatio = float64(len(e.ids)) / float64(e.stats.TotalTiles)
 	return e.vals, nil
 }

@@ -227,3 +227,106 @@ func TestEngineReusesModels(t *testing.T) {
 		t.Error("flush rebuilt the solved models instead of reusing them")
 	}
 }
+
+// TestDirtySetIsExactlyTheInfluenceDiscs is the point-level locality
+// property: after every random edit the dirty mask must contain every
+// point whose from-scratch value the edit changed (superset), and no
+// point farther than radius + 1e-6 from every influence disc marked
+// since the last flush (tightness). The discs are rebuilt here from the
+// DESIGN.md §12 invariant, independently of the engine.
+func TestDirtySetIsExactlyTheInfluenceDiscs(t *testing.T) {
+	type disc struct {
+		c geom.Point
+		r float64
+	}
+	scratchMap := func(t *testing.T, e *Engine, st material.Structure, pl *geom.Placement) []tensor.Stress {
+		t.Helper()
+		an, err := core.New(st, pl, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]tensor.Stress, e.NumPoints())
+		if err := an.MapInto(context.Background(), out, e.Points(), e.Mode()); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, mode := range []core.Mode{core.ModeFull, core.ModeLS, core.ModeInteractive} {
+		for trial := 0; trial < 3; trial++ {
+			rng := rand.New(rand.NewSource(int64(31*int(mode) + trial)))
+			e, st := testSession(t, 30, int64(21+trial), 2, mode)
+			opt := e.Analyzer().Options()
+			pair := mode != core.ModeLS
+			siteR := opt.LSCutoff
+			if pair && opt.PairDistCutoff > siteR {
+				siteR = opt.PairDistCutoff
+			}
+			bounds := e.Placement().Bounds(10)
+			var discs []disc
+			before := scratchMap(t, e, st, e.Placement())
+			for applied := 0; applied < 10; {
+				pl0 := e.Placement()
+				ed := randomEdit(rng, pl0, bounds)
+				if err := e.Apply(ed); err != nil {
+					continue
+				}
+				applied++
+				pl1 := e.Placement()
+				var sites []geom.Point
+				if ed.Op != geom.EditAdd {
+					sites = append(sites, pl0.TSVs[ed.Index].Center)
+				}
+				if ed.Op != geom.EditRemove {
+					sites = append(sites, ed.TSV.Center)
+				}
+				for _, s := range sites {
+					discs = append(discs, disc{s, siteR})
+				}
+				if pair {
+					for _, tsv := range pl1.TSVs {
+						for _, s := range sites {
+							if tsv.Center.Dist(s) <= opt.PairPitchCutoff {
+								discs = append(discs, disc{tsv.Center, opt.PairDistCutoff})
+								break
+							}
+						}
+					}
+				}
+
+				after := scratchMap(t, e, st, pl1)
+				for i, p := range e.Points() {
+					if !e.mask[i] && maxDiff(before[i], after[i]) > 1e-9 {
+						t.Fatalf("mode %v trial %d: %v changed point %d at %v by %g but left it clean",
+							mode, trial, ed, i, p, maxDiff(before[i], after[i]))
+					}
+					if !e.mask[i] {
+						continue
+					}
+					near := false
+					for _, d := range discs {
+						if p.Dist(d.c) <= d.r+1e-6+1e-9 {
+							near = true
+							break
+						}
+					}
+					if !near {
+						t.Fatalf("mode %v trial %d: point %d at %v marked outside every influence disc", mode, trial, i, p)
+					}
+				}
+				before = after
+				if rng.Intn(4) == 0 {
+					if _, err := e.Flush(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+					discs = discs[:0]
+					for i := range e.mask {
+						if e.mask[i] {
+							t.Fatalf("mode %v: flush left point %d marked", mode, i)
+						}
+					}
+				}
+			}
+			checkParity(t, e, st, 1e-9)
+		}
+	}
+}

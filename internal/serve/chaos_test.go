@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -212,7 +213,8 @@ func TestChaosKillReplay(t *testing.T) {
 // on the next request.
 func TestChaosDeadlineAbortsFlush(t *testing.T) {
 	defer faultinject.Reset()
-	srv := NewServer(Options{RequestTimeout: 300 * time.Millisecond})
+	const deadline = 300 * time.Millisecond
+	srv := NewServer(Options{RequestTimeout: deadline})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	c := ts.Client()
@@ -223,13 +225,30 @@ func TestChaosDeadlineAbortsFlush(t *testing.T) {
 	}
 	base := ts.URL + "/v1/placements/" + created.ID
 
-	// 5ms per dirty tile makes the flush tens of times slower than the
-	// deadline; the handler must abort instead of running it out.
-	faultinject.Set("core.tile.eval", faultinject.Fault{Delay: 5 * time.Millisecond})
+	// Moving every TSV by (2, 2) dirties all 49 tiles of the session
+	// (12.5 µm tiles over the 82×82 µm grid). The flush drains them in
+	// ceil(49/workers) rounds, one core.tile.eval firing per tile, so a
+	// per-tile delay of 10×deadline/rounds makes the uncancelled flush
+	// take 10× the deadline: 120 ms per tile on 2 CPUs, 231 ms on 4.
+	// The handler must abort instead of running it out.
+	const dirtyTiles = 49
+	workers := min(runtime.NumCPU(), dirtyTiles)
+	rounds := (dirtyTiles + workers - 1) / workers
+	delay := 10 * deadline / time.Duration(rounds)
+	st := material.Baseline(material.BCB)
+	mirror := mirrorPlacement()
+	var wires []EditWire
+	for i, tw := range chaosPlacement().TSVs {
+		to := geom.Pt(tw.X+2, tw.Y+2)
+		wires = append(wires, EditWire{Op: "move", Index: i, X: to.X, Y: to.Y})
+		if err := (geom.Edit{Op: geom.EditMove, Index: i, TSV: geom.TSV{Center: to}}).Apply(mirror, 2*st.RPrime); err != nil {
+			t.Fatal(err)
+		}
+	}
+	faultinject.Set("core.tile.eval", faultinject.Fault{Delay: delay})
 	start := time.Now()
 	var em errorResponse
-	resp := doJSON(t, c, "POST", base+"/edits",
-		EditsRequest{Edits: []EditWire{{Op: "move", Index: 0, X: 2, Y: 2}}}, &em)
+	resp := doJSON(t, c, "POST", base+"/edits", EditsRequest{Edits: wires}, &em)
 	elapsed := time.Since(start)
 	faultinject.Reset()
 	if resp.StatusCode != http.StatusGatewayTimeout {
@@ -242,13 +261,8 @@ func TestChaosDeadlineAbortsFlush(t *testing.T) {
 	}
 
 	// A 504 means the edits reached the engine's placement but the map
-	// is stale; the engine owes the dirty tiles. With the fault cleared,
-	// the next request's flush completes them and the served map must
-	// match a from-scratch evaluation of the edited placement.
-	st := material.Baseline(material.BCB)
-	mirror := mirrorPlacement()
-	if err := (geom.Edit{Op: geom.EditMove, Index: 0, TSV: geom.TSV{Center: geom.Pt(2, 2)}}).Apply(mirror, 2*st.RPrime); err != nil {
-		t.Fatal(err)
-	}
+	// is stale; the engine owes the dirty points. With the fault
+	// cleared, the next request's flush completes them and the served
+	// map must match a from-scratch evaluation of the edited placement.
 	chaosCheckParity(t, c, base, mirror)
 }

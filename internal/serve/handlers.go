@@ -98,7 +98,10 @@ type EditsRequest struct {
 	Edits []EditWire `json:"edits"`
 }
 
-// EditsResponse answers an edit batch with the incremental-flush cost.
+// EditsResponse answers an edit batch with the incremental-flush cost:
+// DirtyRatio is the share of the session's points the flush
+// re-evaluated, and DirtyTiles of the session's TotalTiles tiles held
+// them.
 type EditsResponse struct {
 	Applied    int     `json:"applied"`
 	NumTSVs    int     `json:"numTSVs"`

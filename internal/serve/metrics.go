@@ -21,7 +21,7 @@ var (
 	metricSessions        = new(expvar.Int)   // live placement sessions
 	metricEdits           = new(expvar.Int)   // applied edits
 	metricFlushes         = new(expvar.Int)   // incremental flushes
-	metricDirtyTile       = new(expvar.Float) // dirty-tile ratio of the last flush
+	metricDirtyRatio      = new(expvar.Float) // dirty-point ratio of the last flush
 	metricCacheEnt        = new(expvar.Int)   // pitch-coefficient cache entries
 	metricCacheHits       = new(expvar.Int)   // pitch-coefficient cache hits
 	metricPanics          = new(expvar.Int)   // contained handler/kernel panics
@@ -59,7 +59,7 @@ func init() {
 	m.Set("sessions", metricSessions)
 	m.Set("edits_total", metricEdits)
 	m.Set("flushes_total", metricFlushes)
-	m.Set("last_dirty_tile_ratio", metricDirtyTile)
+	m.Set("last_dirty_ratio", metricDirtyRatio)
 	m.Set("coeff_cache_entries", metricCacheEnt)
 	m.Set("coeff_cache_hits", metricCacheHits)
 	m.Set("panics_total", metricPanics)
@@ -281,7 +281,7 @@ func windowMeanLatency(fallback time.Duration) time.Duration {
 // flushed.
 func recordFlush(st incr.Stats, elapsed time.Duration) {
 	metricFlushes.Add(1)
-	metricDirtyTile.Set(st.LastDirtyRatio)
+	metricDirtyRatio.Set(st.LastDirtyRatio)
 	metricCacheEnt.Set(int64(st.CoeffCacheEntries))
 	metricCacheHits.Set(int64(st.CoeffCacheHits))
 	editLatency.observe(elapsed)

@@ -32,7 +32,7 @@
 // (header X-Tsvserve-Degraded) and heal on the next calm request.
 //
 // Observability: expvar metrics under "tsvserve" (see metrics.go) —
-// edit-latency histogram, dirty-tile ratio of the last flush, shared
+// edit-latency histogram, dirty-point ratio of the last flush, shared
 // coefficient-cache stats, in-flight/rejected/panic/WAL counters.
 package serve
 
