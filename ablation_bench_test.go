@@ -1,55 +1,18 @@
 package tsvstress
 
 // Ablation benchmarks for the framework's design choices (DESIGN.md):
-// the Stage I look-up table vs exact evaluation, the interactive-series
-// truncation MMax, and the Stage II pair cutoffs. Each bench reports
-// the accuracy cost of the cheaper variant as custom metrics next to
-// its speed.
+// the interactive-series truncation MMax and the Stage II pair cutoffs.
+// Each bench reports the accuracy cost of the cheaper variant as custom
+// metrics next to its speed.
 
 import (
 	"math"
 	"testing"
-
-	"tsvstress/internal/spatial"
 )
 
 func benchPlacement(b *testing.B) *Placement {
 	b.Helper()
 	return ArrayPlacement(8, 8, 10)
-}
-
-// BenchmarkAblationTableLS measures Stage I with the paper's radial
-// look-up table (the production configuration).
-func BenchmarkAblationTableLS(b *testing.B) {
-	an, err := NewAnalyzer(Baseline(BCB), benchPlacement(b), AnalyzerOptions{Workers: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := Pt(5, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = an.StressLS(p)
-	}
-}
-
-// BenchmarkAblationLameLS measures Stage I with exact analytical
-// evaluation of the Lamé field (an.LS.Sol) instead of the table, over
-// the same spatial-index neighbour query the table path runs
-// (superpose.TestTableAccuracy bounds the table's error).
-func BenchmarkAblationLameLS(b *testing.B) {
-	an, err := NewAnalyzer(Baseline(BCB), benchPlacement(b), AnalyzerOptions{Workers: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix := spatial.NewIndex(an.Placement.Centers(), an.LS.Cutoff())
-	p := Pt(5, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var s Stress
-		an.LS.Near(p, ix, func(c Point, _ float64) {
-			s = s.Add(an.LS.Sol.StressAt(p, c))
-		})
-	}
 }
 
 // BenchmarkAblationMMax sweeps the interactive-series truncation: the

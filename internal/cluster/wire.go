@@ -5,7 +5,7 @@
 // parity.
 //
 // The division of labor follows the paper's structure: the expensive
-// solves (Stage I look-up table, per-harmonic interactive systems) are
+// solves (single-TSV Lamé constants, per-harmonic interactive systems) are
 // placement-independent, so every worker derives them locally from the
 // structure + options shipped once at job init — only tile assignments
 // (bare tile ids) and tile results (stress values in tile point order)

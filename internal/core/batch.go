@@ -4,7 +4,6 @@ package core
 
 import (
 	"context"
-	"math"
 
 	"tsvstress/internal/floats"
 	"tsvstress/internal/geom"
@@ -15,17 +14,18 @@ import (
 // The tile-batched evaluation engine behind Map/MapInto.
 //
 // Pointwise evaluation pays a 3×3 spatial-hash query per stage per
-// point plus an Atan2 per Stage I contribution. The batched engine
-// instead partitions the query points into square spatial tiles, and
-// per tile gathers once (a) the TSVs that can contribute to Stage I for
-// any point in the tile and (b) the victims whose pair rounds can
-// contribute to Stage II — using radius cutoff + tile half-diagonal.
+// point. The batched engine instead partitions the query points into
+// square spatial tiles, and per tile gathers once (a) the TSVs that
+// can contribute to Stage I for any point in the tile and (b) the
+// victims whose pair rounds can contribute to Stage II — using radius
+// cutoff + tile half-diagonal.
 // Tile points are then evaluated in tight loops over structure-of-
 // arrays candidate data: the per-point membership test collapses to one
 // squared-distance compare (the same `d² ≤ cutoff²` the hash query
 // performs, so inclusion decisions are bit-identical to the pointwise
-// path), rotations derive cos φ/sin φ from the relative vector and r
-// with no Atan2, and Stage II runs through interact.VictimRounds slabs.
+// path), Stage I calls the same closed-form superpose.Profile.At the
+// pointwise path calls, and Stage II runs through interact.VictimRounds
+// slabs.
 //
 // Tiles are drained from a shared queue with an atomic cursor, so idle
 // workers steal whatever tile is next regardless of cost imbalance, and
@@ -189,15 +189,15 @@ func (a *Analyzer) gatherTile(t tile, halfDiag float64, doLS, doPair bool, ts *t
 // the flagged ones when mask is non-nil) into contiguous coordinate
 // lanes, walks three stress-component accumulator lanes linearly in
 // candidate-outer loops, and scatters results back through the tile
-// order exactly once. Stage I inlines the radial-table
-// interpolation (captured as a.lsRR/lsTT lanes) with the rotation
-// rewritten on 1/d², so a contributing candidate costs one sqrt and one
-// division and no method calls; the d² compares, the d² == 0 branch and
-// the knot clamping reproduce the pointwise path's inclusion decisions
-// exactly. Stage II dispatches one AccumulateTile lane sweep per victim
-// (see interact.VictimRounds). Per-point results differ from the
-// pointwise path (mapPointwise) only in round-off and the bounded
-// Stage II truncation — the parity budget stays 1e-9.
+// order exactly once. Stage I inlines superpose.Profile.At, the
+// closed form in d² the pointwise path evaluates too, so a contributing
+// candidate costs one division and no sqrt, angle or table; the cutoff
+// compare and the profile's ring compares make the same inclusion and
+// region decisions as the pointwise path. Stage II dispatches one
+// AccumulateTile lane sweep per victim (see interact.VictimRounds).
+// Per-point results differ from the pointwise path (mapPointwise) only
+// in round-off and the bounded Stage II truncation — the parity budget
+// stays 1e-9.
 //
 //tsvlint:allocfree
 func (a *Analyzer) evalTile(dst []tensor.Stress, pts []geom.Point, order []int32, t tile, halfDiag float64, mask []bool, doLS, doPair bool, ts *tileScratch) {
@@ -232,9 +232,7 @@ func (a *Analyzer) evalTile(dst []tensor.Stress, pts []geom.Point, order []int32
 	clear(syy)
 	clear(sxy)
 	if doLS {
-		rrT, ttT, invStep := a.lsRR, a.lsTT, a.lsInvStep
-		last := len(rrT) - 2
-		rr0, tt0 := rrT[0], ttT[0]
+		prof := a.LS.Profile()
 		for k := range ts.lsX {
 			cx, cy := ts.lsX[k], ts.lsY[k]
 			for i := 0; i < n; i++ {
@@ -244,31 +242,10 @@ func (a *Analyzer) evalTile(dst []tensor.Stress, pts []geom.Point, order []int32
 				if d2 > ls2 {
 					continue
 				}
-				if d2 == 0 {
-					// Point at a TSV center: uniform body stress, no
-					// rotation (matches the pointwise r == 0 branch).
-					sxx[i] += rr0
-					syy[i] += tt0
-					continue
-				}
-				r := math.Sqrt(d2)
-				f := r * invStep
-				j := int(f)
-				if j > last {
-					j = last
-				}
-				w := f - float64(j)
-				om := 1 - w
-				prr := rrT[j]*om + rrT[j+1]*w
-				ptt := ttT[j]*om + ttT[j+1]*w
-				d2inv := 1 / d2
-				c2 := dx * dx * d2inv
-				s2 := dy * dy * d2inv
-				cs := dx * dy * d2inv
-				// σrθ ≡ 0 for the axisymmetric single-TSV field.
-				sxx[i] += prr*c2 + ptt*s2
-				syy[i] += prr*s2 + ptt*c2
-				sxy[i] += (prr - ptt) * cs
+				xx, yy, xy := prof.At(dx, dy, d2)
+				sxx[i] += xx
+				syy[i] += yy
+				sxy[i] += xy
 			}
 		}
 	}

@@ -14,9 +14,9 @@ import (
 )
 
 // parityTol is the allowed disagreement between the tile-batched and
-// pointwise paths. The engines perform the same arithmetic up to
-// summation order and the Atan2-free rotation, so agreement is far
-// tighter than this in practice.
+// pointwise paths. Both evaluate Stage I through superpose.Profile.At
+// and differ only in summation order and the Stage II kernels, so
+// agreement is far tighter than this in practice.
 const parityTol = 1e-9
 
 func randomAnalyzer(t testing.TB, n int, density float64, seed int64, opt Options) *Analyzer {
@@ -136,6 +136,49 @@ func TestMapBatchedParityGrid(t *testing.T) {
 		if d := maxDiff(got, want); d > parityTol {
 			t.Errorf("mode %v: max diff %.3g MPa", mode, d)
 		}
+	}
+}
+
+// TestStageIMatchesLame pins both Stage I paths, pointwise StressLS and
+// the batched lane sweep, to the summed Lamé solution under the same
+// cutoff compare: at every TSV center, a relative 1e-12 either side of
+// both ring interfaces of every TSV, within ±0.005 µm of them, and at
+// random points.
+func TestStageIMatchesLame(t *testing.T) {
+	a := randomAnalyzer(t, 40, 1e-2, 5, Options{Workers: 2})
+	st, sol := a.Struct, a.LS.Sol
+	var pts []geom.Point
+	for _, tsv := range a.Placement.TSVs {
+		c := tsv.Center
+		pts = append(pts, c)
+		for _, r := range []float64{st.R, st.RPrime} {
+			radii := []float64{r * (1 - 1e-12), r * (1 + 1e-12)}
+			for k := 1; k <= 5; k++ {
+				radii = append(radii, r-float64(k)*0.001, r+float64(k)*0.001)
+			}
+			for _, rr := range radii {
+				for _, phi := range []float64{0.1, 1.7, 3.9, 5.2} {
+					pts = append(pts, geom.Pt(c.X+rr*math.Cos(phi), c.Y+rr*math.Sin(phi)))
+				}
+			}
+		}
+	}
+	pts = append(pts, randomPoints(a, 500, 6)...)
+	cut2 := a.opt.LSCutoff * a.opt.LSCutoff
+	want := make([]tensor.Stress, len(pts))
+	for i, p := range pts {
+		for _, tsv := range a.Placement.TSVs {
+			dx, dy := p.X-tsv.Center.X, p.Y-tsv.Center.Y
+			if dx*dx+dy*dy <= cut2 {
+				want[i] = want[i].Add(sol.StressAt(p, tsv.Center))
+			}
+		}
+	}
+	if d := maxDiff(pointwiseRef(a, pts, ModeLS), want); d > parityTol {
+		t.Errorf("StressLS vs summed Lamé: max diff %.3g MPa", d)
+	}
+	if d := maxDiff(a.Map(pts, ModeLS), want); d > parityTol {
+		t.Errorf("batched LS vs summed Lamé: max diff %.3g MPa", d)
 	}
 }
 

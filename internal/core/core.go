@@ -3,13 +3,14 @@
 // framework (Algorithm 1).
 //
 // Stage I performs linear superposition of single-TSV contributions of
-// TSVs within a cutoff distance of each simulation point (table
-// look-up). Stage II adds the interactive-stress contribution of every
-// nearby TSV pair: for a simulation point, a pair participates in one
-// aggressor→victim round when the pair pitch is within PairPitchCutoff
-// and the victim lies within PairDistCutoff of the point; both
-// orderings of a pair are separate rounds, exactly as in Section 4 of
-// the paper. Both stages are O(n) in the number of simulation points.
+// TSVs within a cutoff distance of each simulation point (the
+// closed-form Lamé profile, superpose.Profile). Stage II adds the
+// interactive-stress contribution of every nearby TSV pair: for a
+// simulation point, a pair participates in one aggressor→victim round
+// when the pair pitch is within PairPitchCutoff and the victim lies
+// within PairDistCutoff of the point; both orderings of a pair are
+// separate rounds, exactly as in Section 4 of the paper. Both stages
+// are O(n) in the number of simulation points.
 package core
 
 //tsvlint:apiboundary
@@ -111,18 +112,14 @@ type Analyzer struct {
 	victimRounds []*interact.VictimRounds
 	numPairs     int
 
-	// Stage I radial table lanes for the fused tile kernel; see batch.go.
-	lsRR, lsTT []float64
-	lsInvStep  float64
-
 	// Scratch pools for the batched engine (see batch.go).
 	mapPool  sync.Pool
 	tilePool sync.Pool
 }
 
-// New builds the analyzer: it solves the single-TSV model, solves the
-// per-harmonic interactive systems, precomputes the Stage I look-up
-// table, the spatial index and the per-victim pair evaluators.
+// New builds the analyzer: it solves the single-TSV model (the Stage I
+// profile constants), solves the per-harmonic interactive systems, and
+// builds the spatial index and the per-victim pair evaluators.
 func New(st material.Structure, pl *geom.Placement, opt Options) (*Analyzer, error) {
 	opt = opt.withDefaults()
 	if err := pl.Validate(2 * st.RPrime); err != nil {
@@ -144,8 +141,6 @@ func New(st material.Structure, pl *geom.Placement, opt Options) (*Analyzer, err
 		opt:       opt,
 		idx:       spatial.NewIndex(pl.Centers(), maxF(opt.LSCutoff, opt.PairDistCutoff)),
 	}
-	rr, tt, step := ls.Table()
-	a.lsRR, a.lsTT, a.lsInvStep = rr, tt, 1/step
 	// Build per-victim pair rounds; rounds at equal pitch share one
 	// coefficient pair via the model's pitch-keyed cache.
 	a.pairEvals = make([][]interact.PairEval, pl.Len())

@@ -35,7 +35,7 @@ func TestPermutationInvariance(t *testing.T) {
 }
 
 // Thermal linearity: halving ΔT must halve every stress (the whole
-// pipeline — Lamé constants, look-up table, interactive series — is
+// pipeline — Lamé constants, Stage I profile, interactive series — is
 // linear in the thermal load).
 func TestThermalLinearityEndToEnd(t *testing.T) {
 	pl := geom.NewPlacement(geom.Pt(-4, 0), geom.Pt(4, 0))

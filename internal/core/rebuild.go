@@ -11,13 +11,13 @@ import (
 )
 
 // Rebuild returns a new Analyzer over pl that shares this analyzer's
-// solved models: the Stage I look-up table (superpose.LS) and the
-// interactive model (interact.Model) with its per-harmonic transfer
-// functions and pitch-keyed coefficient cache. Only the spatial index
-// and the per-victim pair rounds are rebuilt, so an analyzer refresh
-// after a placement edit costs O(n·k) cache look-ups instead of the
-// boundary-system and radial-table solves New performs — the edit-aware
-// constructor path the incremental engine flushes through.
+// solved models: the Stage I engine (superpose.LS) and the interactive
+// model (interact.Model) with its per-harmonic transfer functions and
+// pitch-keyed coefficient cache. Only the spatial index and the
+// per-victim pair rounds are rebuilt, so an analyzer refresh after a
+// placement edit costs O(n·k) cache look-ups instead of the boundary
+// solves New performs — the edit-aware constructor path the incremental
+// engine flushes through.
 //
 // prev optionally maps a new TSV index j to the index this analyzer
 // held the same TSV at, provided the TSV's center AND every aggressor
@@ -42,9 +42,6 @@ func (a *Analyzer) Rebuild(pl *geom.Placement, prev func(j int) int) (*Analyzer,
 		Model:     a.Model,
 		opt:       a.opt,
 		idx:       spatial.NewIndex(pl.Centers(), maxF(a.opt.LSCutoff, a.opt.PairDistCutoff)),
-		lsRR:      a.lsRR,
-		lsTT:      a.lsTT,
-		lsInvStep: a.lsInvStep,
 	}
 	nb.pairEvals = make([][]interact.PairEval, pl.Len())
 	nb.victimRounds = make([]*interact.VictimRounds, pl.Len())

@@ -8,11 +8,13 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 
 	"tsvstress/internal/floats"
 	"tsvstress/internal/geom"
+	"tsvstress/internal/spatial"
 	"tsvstress/internal/tensor"
 )
 
@@ -101,18 +103,49 @@ func Masked(pts []geom.Point, masks ...Mask) []geom.Point {
 // footprint (distance < rPrime from a center) — simulation points are
 // device-layer silicon locations (DESIGN.md §2).
 func OutsideTSVs(pl *geom.Placement, rPrime float64) Mask {
+	nearest := nearestDist(pl, rPrime)
 	return func(p geom.Point) bool {
-		_, d := pl.NearestTSV(p)
-		return d >= rPrime
+		return nearest(p) >= rPrime
 	}
 }
 
 // WithinAnyTSV returns a mask that keeps only points within radius of
 // some TSV center — the paper's "critical region".
 func WithinAnyTSV(pl *geom.Placement, radius float64) Mask {
+	nearest := nearestDist(pl, radius)
 	return func(p geom.Point) bool {
-		_, d := pl.NearestTSV(p)
-		return d <= radius
+		return nearest(p) <= radius
+	}
+}
+
+// nearestDist returns a function giving the distance from q to the
+// nearest TSV center, exactly as Placement.NearestTSV measures it,
+// whenever that distance is at most radius; otherwise it returns some
+// value above radius. A spatial index gathers the candidate centers by
+// squared distance, so its reach carries a relative slack that keeps
+// every center within radius by Dist among them: masks comparing the
+// result against radius decide exactly as a scan of every TSV does.
+func nearestDist(pl *geom.Placement, radius float64) func(geom.Point) float64 {
+	reach := radius * (1 + 1e-9)
+	if pl.Len() == 0 || !(reach > 0) || math.IsInf(reach, 1) {
+		return func(q geom.Point) float64 {
+			_, d := pl.NearestTSV(q)
+			return d
+		}
+	}
+	// About one TSV per cell and never less than the reach, so a sparse
+	// or elongated placement cannot blow up the bucket grid.
+	b := pl.Bounds(0)
+	cell := math.Max(reach, (b.W()+b.H())/math.Sqrt(float64(pl.Len())))
+	ix := spatial.NewIndex(pl.Centers(), cell)
+	return func(q geom.Point) float64 {
+		d := math.Inf(1)
+		ix.Near(q, reach, func(i int, _ float64) {
+			if di := ix.At(i).Dist(q); di < d {
+				d = di
+			}
+		})
+		return d
 	}
 }
 

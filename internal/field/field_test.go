@@ -3,6 +3,7 @@ package field
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -73,6 +74,58 @@ func TestMasks(t *testing.T) {
 	kept := Masked(pts, outside, critical)
 	if len(kept) != 1 || kept[0] != (geom.Point{X: 3.1, Y: 0}) {
 		t.Errorf("Masked = %v", kept)
+	}
+}
+
+// TestMasksMatchNearestScan pins the indexed masks to a scan of every
+// TSV through Placement.NearestTSV with the same comparisons, on points
+// exactly at the radius, a hair either side of it, and at random.
+func TestMasksMatchNearestScan(t *testing.T) {
+	const rPrime, critical = 3.0, 8.0
+	rng := rand.New(rand.NewSource(3))
+	var centers []geom.Point
+	for i := 0; i < 6; i++ {
+		for j := 0; j < 5; j++ {
+			centers = append(centers, geom.Pt(float64(i)*10, float64(j)*10))
+		}
+	}
+	for i := 0; i < 40; i++ {
+		centers = append(centers, geom.Pt(80+rng.Float64()*60, rng.Float64()*60))
+	}
+	pl := geom.NewPlacement(centers...)
+	var pts []geom.Point
+	for _, c := range centers {
+		for _, r := range []float64{rPrime, critical} {
+			for _, f := range []float64{1 - 1e-15, 1, 1 + 1e-15} {
+				pts = append(pts,
+					geom.Pt(c.X+r*f, c.Y), geom.Pt(c.X, c.Y-r*f),
+					geom.Pt(c.X+0.6*r*f, c.Y+0.8*r*f))
+			}
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		pts = append(pts, geom.Pt(-10+rng.Float64()*160, -10+rng.Float64()*80))
+	}
+	outside, within := OutsideTSVs(pl, rPrime), WithinAnyTSV(pl, critical)
+	var atEdge int
+	for _, p := range pts {
+		_, d := pl.NearestTSV(p)
+		if d == rPrime || d == critical {
+			atEdge++
+		}
+		if got, want := outside(p), d >= rPrime; got != want {
+			t.Fatalf("OutsideTSVs(%v) = %v, scan says %v (d = %.17g)", p, got, want, d)
+		}
+		if got, want := within(p), d <= critical; got != want {
+			t.Fatalf("WithinAnyTSV(%v) = %v, scan says %v (d = %.17g)", p, got, want, d)
+		}
+	}
+	if atEdge == 0 {
+		t.Fatal("no point sits exactly at a mask radius")
+	}
+	empty := geom.NewPlacement()
+	if !OutsideTSVs(empty, rPrime)(geom.Pt(0, 0)) || WithinAnyTSV(empty, critical)(geom.Pt(0, 0)) {
+		t.Error("empty placement: every point is outside and none is critical")
 	}
 }
 

@@ -4,10 +4,11 @@
 // single-TSV stress field, and contributions of TSVs within a cutoff
 // distance of the simulation point are superposed.
 //
-// Contributions come from the paper's table look-up: a precomputed
-// radial profile with linear interpolation, the mode whose run time
-// Table 6 normalizes against. The exact Lamé solution it samples
-// (LS.Sol) stays available as the reference tests compare against.
+// The paper reads that field from a table because [9]'s profile comes
+// from FEM. Here the profile is the closed-form Lamé solution, so every
+// contribution is evaluated exactly from per-ring constants (Profile).
+// LS.Sol stays available as the independent reference tests compare
+// against.
 package superpose
 
 import (
@@ -29,14 +30,57 @@ type Options struct {
 	Cutoff float64
 }
 
-// tableStep is the radial look-up table resolution in µm.
-const tableStep = 0.01
-
 func (o Options) withDefaults() Options {
 	if o.Cutoff <= 0 {
 		o.Cutoff = DefaultCutoff
 	}
 	return o
+}
+
+// Profile is the single-TSV stress field in closed form. In every ring
+// σrr = A + B/r² and σθθ = A − B/r² (σrθ ≡ 0), which in Cartesian
+// components at offset d = p − c from the center reads
+//
+//	σxx = A + B(dx²−dy²)/r⁴,  σyy = A − B(dx²−dy²)/r⁴,  σxy = 2B·dx·dy/r⁴
+//
+// with A = body stress and B = 0 in the body, A and B = −E/(1+ν)·Bl in
+// the liner, and A = 0 and B = K in the substrate (Eq. 6).
+type Profile struct {
+	// r2 and rPrime2 are the squared ring radii: a point is in the body
+	// when d² < r2 and in the liner when r2 ≤ d² < rPrime2.
+	r2, rPrime2    float64
+	bodyA          float64
+	linerA, linerB float64
+	subB           float64
+}
+
+func newProfile(sol *lame.Solution) Profile {
+	s, pl := sol.Struct, sol.Plane
+	c, l := s.Body, s.Liner
+	return Profile{
+		r2:      s.R * s.R,
+		rPrime2: s.RPrime * s.RPrime,
+		bodyA:   c.PlaneModulus(pl) * (sol.Ac - c.EffectiveCTE(pl)*s.DeltaT),
+		linerA:  l.PlaneModulus(pl) * (sol.Al - l.EffectiveCTE(pl)*s.DeltaT),
+		linerB:  -l.E / (1 + l.Nu) * sol.Bl,
+		subB:    sol.K,
+	}
+}
+
+// At returns the Cartesian stress components in MPa at offset (dx, dy)
+// from the TSV center, with d2 = dx² + dy². It has no sqrt, no angle
+// and no special case at the center (the body term carries no B).
+func (f *Profile) At(dx, dy, d2 float64) (xx, yy, xy float64) {
+	if d2 < f.r2 {
+		return f.bodyA, f.bodyA, 0
+	}
+	a, b := 0.0, f.subB
+	if d2 < f.rPrime2 {
+		a, b = f.linerA, f.linerB
+	}
+	w := b / (d2 * d2)
+	h := w * (dx*dx - dy*dy)
+	return a + h, a - h, 2 * w * dx * dy
 }
 
 // LS is the linear-superposition engine for one TSV structure. It is
@@ -45,7 +89,7 @@ type LS struct {
 	Struct material.Structure
 	Sol    *lame.Solution
 	opt    Options
-	table  *radialTable
+	prof   Profile
 }
 
 // New builds the LS engine.
@@ -55,100 +99,28 @@ func New(st material.Structure, opt Options) (*LS, error) {
 	if err != nil {
 		return nil, fmt.Errorf("superpose: %w", err)
 	}
-	return &LS{Struct: st, Sol: sol, opt: opt, table: newRadialTable(sol, opt.Cutoff)}, nil
+	return &LS{Struct: st, Sol: sol, opt: opt, prof: newProfile(sol)}, nil
 }
 
 // Cutoff returns the nearby-TSV distance in use, in µm.
 func (ls *LS) Cutoff() float64 { return ls.opt.Cutoff }
 
-// Polar returns the axisymmetric single-TSV stress profile in MPa at
-// radial distance r ≥ 0 from the center (σrr, σθθ in the TSV's polar
-// frame; σrθ is identically zero), from the table look-up. Batched engines use it to rotate polar→
-// Cartesian in place without a per-point Atan2. Beyond the cutoff the
-// value is not meaningful (callers gate on Cutoff).
-func (ls *LS) Polar(r float64) tensor.Polar {
-	return ls.table.at(r)
-}
-
-// Table exposes the radial look-up table backing Polar for fused batch
-// kernels that inline the interpolation: the σrr and σθθ profiles
-// sampled every step µm from r = 0, with linear interpolation between
-// knots and the last interval clamped (exactly what Polar computes).
-// The slices are the live table — callers must not mutate them.
-func (ls *LS) Table() (rr, tt []float64, step float64) {
-	return ls.table.rr, ls.table.tt, tableStep
-}
-
-// Contribution returns the stress contribution in MPa of a single TSV
-// centered at c to the point p (zero beyond the cutoff).
-func (ls *LS) Contribution(p, c geom.Point) tensor.Stress {
-	rel := p.Sub(c)
-	r := rel.Norm()
-	if r > ls.opt.Cutoff {
-		return tensor.Stress{}
-	}
-	if r == 0 {
-		pol := ls.Sol.PolarAt(0)
-		return tensor.Stress{XX: pol.RR, YY: pol.TT}
-	}
-	return ls.Polar(r).ToCartesian(rel.Angle())
-}
+// Profile returns the closed-form single-TSV field every contribution
+// is evaluated from; batched kernels call its At in their lane sweeps.
+func (ls *LS) Profile() Profile { return ls.prof }
 
 // StressAt superposes the contributions, in MPa, of all indexed TSVs
 // within the cutoff of p. The index must have been built over the placement's
 // center points.
 func (ls *LS) StressAt(p geom.Point, ix *spatial.Index) tensor.Stress {
 	var s tensor.Stress
-	ls.Near(p, ix, func(c geom.Point, r float64) {
-		s = s.Add(ls.contributionAt(p, c, r))
+	ix.Near(p, ls.opt.Cutoff, func(i int, _ float64) {
+		c := ix.At(i)
+		dx, dy := p.X-c.X, p.Y-c.Y
+		xx, yy, xy := ls.prof.At(dx, dy, dx*dx+dy*dy)
+		s.XX += xx
+		s.YY += yy
+		s.XY += xy
 	})
 	return s
-}
-
-// Near visits the TSVs within the cutoff of p.
-func (ls *LS) Near(p geom.Point, ix *spatial.Index, fn func(c geom.Point, r float64)) {
-	ix.Near(p, ls.opt.Cutoff, func(i int, d float64) {
-		fn(ix.At(i), d)
-	})
-}
-
-func (ls *LS) contributionAt(p, c geom.Point, r float64) tensor.Stress {
-	if r == 0 {
-		pol := ls.Sol.PolarAt(0)
-		return tensor.Stress{XX: pol.RR, YY: pol.TT}
-	}
-	rel := p.Sub(c)
-	return ls.Polar(r).ToCartesian(rel.Angle())
-}
-
-// radialTable stores the axisymmetric single-TSV polar stress profile
-// on a uniform radial grid for linear interpolation — the paper's
-// "table look-up method".
-type radialTable struct {
-	rr []float64
-	tt []float64
-}
-
-func newRadialTable(sol *lame.Solution, cutoff float64) *radialTable {
-	n := int(cutoff/tableStep) + 2
-	t := &radialTable{rr: make([]float64, n), tt: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		p := sol.PolarAt(float64(i) * tableStep)
-		t.rr[i] = p.RR
-		t.tt[i] = p.TT
-	}
-	return t
-}
-
-func (t *radialTable) at(r float64) tensor.Polar {
-	f := r / tableStep
-	i := int(f)
-	if i >= len(t.rr)-1 {
-		i = len(t.rr) - 2
-	}
-	w := f - float64(i)
-	return tensor.Polar{
-		RR: t.rr[i]*(1-w) + t.rr[i+1]*w,
-		TT: t.tt[i]*(1-w) + t.tt[i+1]*w,
-	}
 }

@@ -2,12 +2,14 @@ package superpose
 
 import (
 	"math"
+	"math/rand"
 	"testing"
-	"tsvstress/internal/floats"
 
+	"tsvstress/internal/floats"
 	"tsvstress/internal/geom"
 	"tsvstress/internal/material"
 	"tsvstress/internal/spatial"
+	"tsvstress/internal/tensor"
 )
 
 func eq(a, b, tol float64) bool { return floats.AlmostEqual(a, b, tol) }
@@ -33,6 +35,16 @@ func TestNewRejectsBadStructure(t *testing.T) {
 	}
 }
 
+// single evaluates the LS field of one TSV centered at c.
+func single(ls *LS, p, c geom.Point) tensor.Stress {
+	return ls.StressAt(p, spatial.NewIndex([]geom.Point{c}, ls.Cutoff()))
+}
+
+// within reports whether got equals want to tol MPa in every component.
+func within(got, want tensor.Stress, tol float64) bool {
+	return eq(got.XX, want.XX, tol) && eq(got.YY, want.YY, tol) && eq(got.XY, want.XY, tol)
+}
+
 func TestSingleTSVMatchesLame(t *testing.T) {
 	ls := newLS(t, Options{})
 	pl := geom.NewPlacement(geom.Pt(0, 0))
@@ -40,19 +52,56 @@ func TestSingleTSVMatchesLame(t *testing.T) {
 	for _, p := range []geom.Point{{X: 4, Y: 0}, {X: 0, Y: 6}, {X: 5, Y: 5}, {X: -3, Y: 8}} {
 		got := ls.StressAt(p, ix)
 		want := ls.Sol.StressAt(p, geom.Pt(0, 0))
-		scale := math.Max(1, math.Abs(want.XX)+math.Abs(want.YY))
-		if !eq(got.XX, want.XX, 1e-3*scale) || !eq(got.YY, want.YY, 1e-3*scale) || !eq(got.XY, want.XY, 1e-3*scale) {
-			t.Errorf("table look-up at %v: %v, want %v", p, got, want)
+		if !within(got, want, 1e-9) {
+			t.Errorf("closed form at %v: %v, want %v", p, got, want)
+		}
+	}
+}
+
+// TestProfileAtInterfaces pins the closed-form profile to the Lamé
+// solution where a sampled profile fails: at the center, a relative
+// 1e-12 either side of both ring interfaces (where σθθ jumps), within
+// ±0.005 µm of them, and at random offsets, each in several directions.
+func TestProfileAtInterfaces(t *testing.T) {
+	for _, liner := range []material.Material{material.BCB, material.SiO2} {
+		ls, err := New(material.Baseline(liner), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := ls.Struct
+		radii := []float64{0}
+		for _, r := range []float64{st.R, st.RPrime} {
+			radii = append(radii, r*(1-1e-12), r*(1+1e-12))
+			// Exactly on an interface the oracle's sqrt(d²) < R and the
+			// profile's d² < R² may round to different rings; one
+			// relative 1e-12 off it they cannot.
+			for k := 1; k <= 5; k++ {
+				radii = append(radii, r-float64(k)*0.001, r+float64(k)*0.001)
+			}
+		}
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 200; i++ {
+			radii = append(radii, rng.Float64()*ls.Cutoff())
+		}
+		c := geom.Pt(3.25, -1.5)
+		for _, r := range radii {
+			for _, phi := range []float64{0, 0.3, math.Pi / 4, 2, math.Pi, 4.4} {
+				p := geom.Pt(c.X+r*math.Cos(phi), c.Y+r*math.Sin(phi))
+				got, want := single(ls, p, c), ls.Sol.StressAt(p, c)
+				if !within(got, want, 1e-9) {
+					t.Fatalf("%s r=%.15g φ=%g: %v, want %v", liner.Name, r, phi, got, want)
+				}
+			}
 		}
 	}
 }
 
 func TestCutoffRespected(t *testing.T) {
 	ls := newLS(t, Options{Cutoff: 10})
-	if got := ls.Contribution(geom.Pt(10.01, 0), geom.Pt(0, 0)); got.XX != 0 || got.YY != 0 {
+	if got := single(ls, geom.Pt(10.01, 0), geom.Pt(0, 0)); got != (tensor.Stress{}) {
 		t.Errorf("beyond cutoff should be zero: %v", got)
 	}
-	if got := ls.Contribution(geom.Pt(9.99, 0), geom.Pt(0, 0)); got.XX == 0 {
+	if got := single(ls, geom.Pt(9.99, 0), geom.Pt(0, 0)); got.XX == 0 {
 		t.Error("inside cutoff should be nonzero")
 	}
 	if ls.Cutoff() != 10 {
@@ -67,43 +116,30 @@ func TestSuperpositionLinearity(t *testing.T) {
 	ix := index(pl)
 	p := geom.Pt(1, 2)
 	got := ls.StressAt(p, ix)
-	want := ls.Contribution(p, geom.Pt(-5, 0)).Add(ls.Contribution(p, geom.Pt(5, 0)))
-	if !eq(got.XX, want.XX, 1e-9) || !eq(got.YY, want.YY, 1e-9) || !eq(got.XY, want.XY, 1e-9) {
+	want := single(ls, p, geom.Pt(-5, 0)).Add(single(ls, p, geom.Pt(5, 0)))
+	if !within(got, want, 1e-9) {
 		t.Errorf("superposition broken: %v vs %v", got, want)
-	}
-}
-
-func TestTableAccuracy(t *testing.T) {
-	// The default 0.01 µm table must track the exact profile to better
-	// than 0.1% of the local stress across the whole radial range.
-	ls := newLS(t, Options{})
-	for r := 0.05; r < 25; r += 0.0317 {
-		got := ls.Contribution(geom.Pt(r, 0), geom.Pt(0, 0))
-		want := ls.Sol.StressAt(geom.Pt(r, 0), geom.Pt(0, 0))
-		scale := math.Max(0.5, math.Abs(want.XX))
-		if !eq(got.XX, want.XX, 1e-3*scale) {
-			t.Fatalf("r=%g: table %v vs exact %v", r, got.XX, want.XX)
-		}
 	}
 }
 
 func TestCenterPoint(t *testing.T) {
 	ls := newLS(t, Options{})
-	got := ls.Contribution(geom.Pt(0, 0), geom.Pt(0, 0))
+	got := single(ls, geom.Pt(0, 0), geom.Pt(0, 0))
 	body := ls.Sol.PolarAt(0)
-	if !eq(got.XX, body.RR, 1e-12) || !eq(got.YY, body.TT, 1e-12) {
+	if !eq(got.XX, body.RR, 1e-12) || !eq(got.YY, body.TT, 1e-12) || got.XY != 0 {
 		t.Errorf("center contribution = %v", got)
 	}
 }
 
 func TestNearVisitsOnlyNearby(t *testing.T) {
+	// Only the two TSVs within the 12 µm cutoff of (5, 0) contribute.
 	ls := newLS(t, Options{Cutoff: 12})
 	pl := geom.NewPlacement(geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(40, 0))
 	ix := spatial.NewIndex(pl.Centers(), 12)
-	var visited int
-	ls.Near(geom.Pt(5, 0), ix, func(geom.Point, float64) { visited++ })
-	if visited != 2 {
-		t.Errorf("visited %d TSVs, want 2", visited)
+	p := geom.Pt(5, 0)
+	want := ls.Sol.StressAt(p, geom.Pt(0, 0)).Add(ls.Sol.StressAt(p, geom.Pt(10, 0)))
+	if got := ls.StressAt(p, ix); !within(got, want, 1e-9) {
+		t.Errorf("StressAt = %v, want the two nearby TSVs' %v", got, want)
 	}
 }
 

@@ -166,8 +166,8 @@ func RandomPlacement(n int, density, minPitch float64, seed int64) (*Placement, 
 }
 
 // NewAnalyzer builds the full-chip analyzer for a placement. The zero
-// options select the paper's defaults (25 µm cutoffs, 9 series terms,
-// table look-up Stage I).
+// options select the paper's defaults (25 µm cutoffs, 9 series terms);
+// Stage I evaluates the closed-form single-TSV profile.
 func NewAnalyzer(st Structure, pl *Placement, opt AnalyzerOptions) (*Analyzer, error) {
 	return core.New(st, pl, opt)
 }
