@@ -195,9 +195,9 @@ func (a *Analyzer) gatherTile(t tile, halfDiag float64, doLS, doPair bool, ts *t
 // compare and the profile's ring compares make the same inclusion and
 // region decisions as the pointwise path. Stage II dispatches one
 // AccumulateTile lane sweep per victim (see interact.VictimRounds).
-// Per-point results differ from the pointwise path (mapPointwise) only
-// in round-off and the bounded Stage II truncation — the parity budget
-// stays 1e-9.
+// Both paths evaluate the full MMax series, so per-point results differ
+// from the pointwise path (mapPointwise) only in round-off — the parity
+// budget stays 1e-9.
 //
 //tsvlint:allocfree
 func (a *Analyzer) evalTile(dst []tensor.Stress, pts []geom.Point, order []int32, t tile, halfDiag float64, mask []bool, doLS, doPair bool, ts *tileScratch) {

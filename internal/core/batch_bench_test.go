@@ -60,10 +60,10 @@ func benchMap(b *testing.B, mode Mode, pointwise bool) {
 	b.ReportMetric(float64(len(pts)), "points")
 }
 
-// BenchmarkFullChipMap tracks the full-chip sweep throughput across
-// PRs: LS and Full modes through the tile-batched engine, with the
-// pre-change pointwise path as the reference the ≥2× acceptance
-// criterion is measured against.
+// BenchmarkFullChipMap reports full-chip sweep throughput in ns/point:
+// LS and Full modes through the tile-batched engine and through the
+// pointwise path (mapPointwise) for comparison. Cross-change claims
+// use the repository benchmark (bench/), not this one.
 func BenchmarkFullChipMap(b *testing.B) {
 	b.Run("ls-batched", func(b *testing.B) { benchMap(b, ModeLS, false) })
 	b.Run("full-batched", func(b *testing.B) { benchMap(b, ModeFull, false) })

@@ -34,8 +34,8 @@ func randomPlacement(rng *rand.Rand, st material.Structure, nx, ny int) *geom.Pl
 // placements, cutoffs, MMax and worker counts, the batched engine must
 // match the pointwise path (mapPointwise) within parityTol at every
 // point and in every mode. The two paths reassociate floating-point
-// work differently (lane accumulators, packed Horner recurrences, the
-// bounded harmonic truncation), so exact equality is not expected. The
+// work differently (lane accumulators, packed Horner recurrences, FMA
+// in the AVX2 lane kernel), so exact equality is not expected. The
 // point set mixes uniform coverage with points snapped near TSV centers
 // and footprint edges, where the interior/exterior classification and
 // the r == 0 branch are exercised.

@@ -54,11 +54,6 @@ type VictimRounds struct {
 	// step streams a single 48-byte run and indexes with one bounds
 	// check at most.
 	horner []hornerStep
-	// trunc[k] is the smallest d² (µm²) at which evaluating the Horner
-	// polynomials with coefficient indices 0…k only keeps the dropped
-	// tail below truncTolMPa per stress component (trunc[nm−1] = 0, no
-	// tail). Non-increasing in k by construction.
-	trunc []float64
 	// rp2Guard is R′²·(1+guard): below it the exterior/interior
 	// classification recomputes math.Hypot so it is bit-identical to
 	// the scalar paths (σθθ jumps across Γ1, so a 1-ulp disagreement
@@ -74,15 +69,6 @@ const hornerStride = 6
 
 // hornerStep is one harmonic's packed coefficient run.
 type hornerStep [hornerStride]float64
-
-// truncTolMPa bounds the per-victim stress-component error (MPa) of the
-// adaptive harmonic truncation AccumulateTile applies to far points.
-// With the default 25 µm cutoffs a point accumulates a few dozen
-// victims, keeping the summed truncation error two orders of magnitude
-// under the 1e-9 MPa parity budget. The bound is absolute, so victims
-// with larger coefficients (hotter loads) automatically keep more
-// harmonics.
-const truncTolMPa = 2e-12
 
 // PackRounds builds the aggregated view over rounds, which must all
 // share one victim center (as the per-victim lists built by the
@@ -145,8 +131,7 @@ func PackRounds(evs []PairEval) *VictimRounds {
 }
 
 // packHorner folds the four aggregate lanes into the step-major complex
-// coefficient slab AccumulateTile streams, and solves the per-start
-// truncation thresholds.
+// coefficient slab AccumulateTile streams.
 func (vr *VictimRounds) packHorner() {
 	nm := vr.nm
 	vr.horner = make([]hornerStep, nm)
@@ -161,54 +146,6 @@ func (vr *VictimRounds) packHorner() {
 	vr.rp2 = vr.rPrime * vr.rPrime
 	vr.rpInv2 = 1 / vr.rp2
 	vr.rp2Guard = vr.rp2 * (1 + 1e-9)
-
-	// Tail magnitude of harmonic index i at decay base inv = R′/r ≤ 1:
-	// the polar components are bounded by inv^m·((2+m)·A_i + B_i·inv²)
-	// with A_i = |(ca_i, sa_i)|, B_i = |(cb_i, sb_i)| (each aggregate
-	// pair is a single sinusoid in φ), and the polar→Cartesian rotation
-	// at most adds |σrt| to max(|σrr|, |σθθ|). wts[i] is the resulting
-	// per-component Cartesian bound coefficient of inv^m.
-	wts := make([]float64, nm)
-	for i := 0; i < nm; i++ {
-		fm := float64(i + 2)
-		ai := math.Hypot(vr.ca[i], vr.sa[i])
-		bi := math.Hypot(vr.cb[i], vr.sb[i])
-		wts[i] = (2+2*fm)*ai + 2*bi
-	}
-	//tsvlint:ignore hotpath per-victim setup, not the per-point lane sweep: runs once per rebuild
-	tail := func(k int, inv float64) float64 {
-		s := 0.0
-		//tsvlint:ignore hotpath bisection seed once per (victim, k), not per point
-		p := math.Pow(inv, float64(k+3)) // inv^m at i = k+1
-		for i := k + 1; i < nm; i++ {
-			s += wts[i] * p
-			p *= inv
-		}
-		return s
-	}
-	vr.trunc = make([]float64, nm)
-	for k := 0; k < nm-1; k++ {
-		if tail(k, 1) <= truncTolMPa {
-			// Even touching the footprint the tail is negligible.
-			vr.trunc[k] = 0
-			continue
-		}
-		// tail(k, ·) is increasing in inv; bisect for the largest inv
-		// still within tolerance and convert to a d² threshold.
-		lo, hi := 0.0, 1.0
-		for it := 0; it < 64; it++ {
-			mid := 0.5 * (lo + hi)
-			if tail(k, mid) <= truncTolMPa {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		r := vr.rPrime / lo
-		vr.trunc[k] = r * r
-	}
-	// trunc[nm-1] stays 0: the full series is always admissible, which
-	// also terminates the start-index scan.
 }
 
 // NumRounds returns the number of packed (non-degenerate) rounds.
@@ -340,11 +277,13 @@ func (vr *VictimRounds) interiorAt(relX, relY, r float64) tensor.Stress {
 //
 // which matches AccumulateAt's polar recurrence + rotation to round-off
 // (the parity tests pin ≤1e-9 MPa; in isolation the two forms agree to
-// ~1e-13). Far points start the Horner recursion at the precomputed
-// truncation index, bounding the dropped tail below truncTolMPa per
-// component; the start-index scan walks down from the full series so
-// dense placements (which need every harmonic inside the cutoff) pay a
-// single compare.
+// ~1e-13). Every point evaluates the full MMax series, like
+// AccumulateAt and the pointwise path: inside a dense placement's
+// cutoff no harmonic is negligible.
+//
+// On amd64 hosts with AVX2 and FMA the bulk of the lanes runs four
+// points per instruction (accumLanes); the portable Go kernel takes the
+// n mod 4 tail, every guard-band point, and the whole sweep elsewhere.
 //
 // px, py, sxx, syy, sxy must have equal length. Points inside the
 // victim footprint take interiorAt, as in AccumulateAt (the
@@ -354,15 +293,28 @@ func (vr *VictimRounds) AccumulateTile(px, py, sxx, syy, sxy []float64, pd2 floa
 	if len(py) != n || len(sxx) != n || len(syy) != n || len(sxy) != n {
 		panic("interact: AccumulateTile lane length mismatch")
 	}
+	lo := vr.accumLanes(px, py[:n], sxx[:n], syy[:n], sxy[:n], pd2)
+	vr.accumGo(px[lo:], py[lo:n], sxx[lo:n], syy[lo:n], sxy[lo:n], pd2, false)
+}
+
+// accumGo is the portable tile kernel behind AccumulateTile. With
+// guardOnly it visits just the in-range points below rp2Guard: the
+// ones the lane kernel leaves to the exact Hypot classification.
+func (vr *VictimRounds) accumGo(px, py, sxx, syy, sxy []float64, pd2 float64, guardOnly bool) {
+	n := len(px)
 	py, sxx, syy, sxy = py[:n], sxx[:n], syy[:n], sxy[:n]
 	vx, vy, rp := vr.vicX, vr.vicY, vr.rPrime
-	h, tr := vr.horner, vr.trunc
+	h := vr.horner
 	kFull := vr.nm - 1
+	// Estrin even/odd split: each chain is Horner in v = w² at half
+	// length over the even and the odd coefficient indices.
+	ke := kFull - (kFull & 1) // highest even index
+	ko := kFull - 1 + (kFull & 1)
 	for i := 0; i < n; i++ {
 		dx := px[i] - vx
 		dy := py[i] - vy
 		d2 := dx*dx + dy*dy
-		if d2 > pd2 {
+		if d2 > pd2 || (guardOnly && d2 >= vr.rp2Guard) {
 			continue
 		}
 		if d2 < vr.rp2Guard {
@@ -382,58 +334,29 @@ func (vr *VictimRounds) AccumulateTile(px, py, sxx, syy, sxy []float64, pd2 floa
 		inv2 := vr.rp2 * d2inv
 		w2R := wx*wx - wy*wy
 		w2I := 2 * wx * wy
-		var sR, sI, uR, uI float64
-		if kFull == 0 || d2 < tr[kFull-1] {
-			// Full-depth evaluation — the common case inside a dense
-			// placement's cutoff. Estrin even/odd split: each chain is
-			// Horner in v = w² at half length, so the two serial
-			// dependency chains run concurrently and the recursion's
-			// critical path halves (the kernel is latency-bound on the
-			// chained multiply-adds, not on port throughput).
-			ke := kFull - (kFull & 1) // highest even index
-			ko := kFull - 1 + (kFull & 1)
-			c := &h[ke]
-			sER, sEI := c[0], c[1]
-			uER := c[2] - inv2*c[4]
-			uEI := c[3] - inv2*c[5]
-			for o := ke - 2; o >= 0; o -= 2 {
+		c := &h[ke]
+		sR, sI := c[0], c[1]
+		uR := c[2] - inv2*c[4]
+		uI := c[3] - inv2*c[5]
+		for o := ke - 2; o >= 0; o -= 2 {
+			c = &h[o]
+			sR, sI = sR*w2R-sI*w2I+c[0], sR*w2I+sI*w2R+c[1]
+			uR, uI = uR*w2R-uI*w2I+(c[2]-inv2*c[4]), uR*w2I+uI*w2R+(c[3]-inv2*c[5])
+		}
+		if ko >= 0 {
+			c = &h[ko]
+			sOR, sOI := c[0], c[1]
+			uOR := c[2] - inv2*c[4]
+			uOI := c[3] - inv2*c[5]
+			for o := ko - 2; o >= 1; o -= 2 {
 				c = &h[o]
-				sER, sEI = sER*w2R-sEI*w2I+c[0], sER*w2I+sEI*w2R+c[1]
-				uER, uEI = uER*w2R-uEI*w2I+(c[2]-inv2*c[4]), uER*w2I+uEI*w2R+(c[3]-inv2*c[5])
+				sOR, sOI = sOR*w2R-sOI*w2I+c[0], sOR*w2I+sOI*w2R+c[1]
+				uOR, uOI = uOR*w2R-uOI*w2I+(c[2]-inv2*c[4]), uOR*w2I+uOI*w2R+(c[3]-inv2*c[5])
 			}
-			sR, sI, uR, uI = sER, sEI, uER, uEI
-			if ko >= 0 {
-				c = &h[ko]
-				sOR, sOI := c[0], c[1]
-				uOR := c[2] - inv2*c[4]
-				uOI := c[3] - inv2*c[5]
-				for o := ko - 2; o >= 1; o -= 2 {
-					c = &h[o]
-					sOR, sOI = sOR*w2R-sOI*w2I+c[0], sOR*w2I+sOI*w2R+c[1]
-					uOR, uOI = uOR*w2R-uOI*w2I+(c[2]-inv2*c[4]), uOR*w2I+uOI*w2R+(c[3]-inv2*c[5])
-				}
-				sR += wx*sOR - wy*sOI
-				sI += wx*sOI + wy*sOR
-				uR += wx*uOR - wy*uOI
-				uI += wx*uOI + wy*uOR
-			}
-		} else {
-			// A truncated start suffices: scan down to the smallest
-			// admissible index and run the plain Horner recursion over
-			// the shortened series.
-			k := kFull - 1
-			for k > 0 && d2 >= tr[k-1] {
-				k--
-			}
-			c := &h[k]
-			sR, sI = c[0], c[1]
-			uR = c[2] - inv2*c[4]
-			uI = c[3] - inv2*c[5]
-			for o := k - 1; o >= 0; o-- {
-				c = &h[o]
-				sR, sI = sR*wx-sI*wy+c[0], sR*wy+sI*wx+c[1]
-				uR, uI = uR*wx-uI*wy+(c[2]-inv2*c[4]), uR*wy+uI*wx+(c[3]-inv2*c[5])
-			}
+			sR += wx*sOR - wy*sOI
+			sI += wx*sOI + wy*sOR
+			uR += wx*uOR - wy*uOI
+			uI += wx*uOI + wy*uOR
 		}
 		// The chains computed Σ c_i w^i; the series shift to w^{i+2}
 		// multiplies both by w², and V picks up a second w² from
