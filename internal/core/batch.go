@@ -23,9 +23,10 @@ import (
 // arrays candidate data: the per-point membership test collapses to one
 // squared-distance compare (the same `d² ≤ cutoff²` the hash query
 // performs, so inclusion decisions are bit-identical to the pointwise
-// path), Stage I calls the same closed-form superpose.Profile.At the
-// pointwise path calls, and Stage II runs through interact.VictimRounds
-// slabs.
+// path), Stage I runs one superpose.Profile.AccumTile sweep over the
+// closed form the pointwise path evaluates through Profile.At, and
+// Stage II runs through interact.VictimRounds slabs. Both sweeps run
+// four points per instruction on amd64 hosts with AVX2 and FMA.
 //
 // Tiles are drained from a shared queue with an atomic cursor, so idle
 // workers steal whatever tile is next regardless of cost imbalance, and
@@ -111,9 +112,11 @@ func (a *Analyzer) MapInto(ctx context.Context, dst []tensor.Stress, pts []geom.
 	if len(dst) != len(pts) {
 		return errDstLen(len(dst), len(pts))
 	}
-	// A NaN/Inf coordinate would poison the tile binning (int(NaN) is
-	// unspecified and can produce a negative grid size), so reject the
-	// batch up front instead of panicking mid-partition.
+	if len(pts) > pointwiseBatchThreshold {
+		return a.mapBatched(ctx, dst, pts, mode)
+	}
+	// The batched path rejects NaN/Inf coordinates in the tiling's
+	// bounds pass; the pointwise one checks them here.
 	for i := range pts {
 		if !floats.IsFinite(pts[i].X) || !floats.IsFinite(pts[i].Y) {
 			return errNonFinitePoint(i, pts[i])
@@ -122,10 +125,7 @@ func (a *Analyzer) MapInto(ctx context.Context, dst []tensor.Stress, pts []geom.
 	if len(pts) == 0 {
 		return nil
 	}
-	if len(pts) <= pointwiseBatchThreshold {
-		return a.mapPointwise(ctx, dst, pts, mode)
-	}
-	return a.mapBatched(ctx, dst, pts, mode)
+	return a.mapPointwise(ctx, dst, pts, mode)
 }
 
 func (a *Analyzer) mapBatched(ctx context.Context, dst []tensor.Stress, pts []geom.Point, mode Mode) error {
@@ -137,8 +137,12 @@ func (a *Analyzer) mapBatched(ctx context.Context, dst []tensor.Stress, pts []ge
 	if tl == nil {
 		tl = &Tiling{}
 	}
-	tl.build(pts, cutoff)
-	err := a.evalTileSet(ctx, dst, pts, tl, nil, nil, doLS, doPair)
+	var err error
+	if bad := tl.build(pts, cutoff); bad >= 0 {
+		err = errNonFinitePoint(bad, pts[bad])
+	} else {
+		err = a.evalTileSet(ctx, dst, pts, tl, nil, nil, doLS, doPair)
+	}
 	a.mapPool.Put(tl)
 	return err
 }
@@ -187,13 +191,14 @@ func (a *Analyzer) gatherTile(t tile, halfDiag float64, doLS, doPair bool, ts *t
 // evalTile is the data-oriented tile kernel. It gathers the tile's
 // candidate lists once (gatherTile), then gathers the tile points (only
 // the flagged ones when mask is non-nil) into contiguous coordinate
-// lanes, walks three stress-component accumulator lanes linearly in
-// candidate-outer loops, and scatters results back through the tile
-// order exactly once. Stage I inlines superpose.Profile.At, the
-// closed form in d² the pointwise path evaluates too, so a contributing
-// candidate costs one division and no sqrt, angle or table; the cutoff
-// compare and the profile's ring compares make the same inclusion and
-// region decisions as the pointwise path. Stage II dispatches one
+// lanes, accumulates into three stress-component lanes, and scatters
+// results back through the tile order exactly once. Stage I is one
+// superpose.Profile.AccumTile sweep over the gathered centers: per
+// point it sums Profile.At, the closed form in d² the pointwise path
+// evaluates too, in candidate order, so a contributing candidate costs
+// one division and no sqrt, angle or table, and the cutoff compare and
+// the profile's ring compares make the same inclusion and region
+// decisions as the pointwise path. Stage II dispatches one
 // AccumulateTile lane sweep per victim (see interact.VictimRounds).
 // Both paths evaluate the full MMax series, so per-point results differ
 // from the pointwise path (mapPointwise) only in round-off — the parity
@@ -233,21 +238,7 @@ func (a *Analyzer) evalTile(dst []tensor.Stress, pts []geom.Point, order []int32
 	clear(sxy)
 	if doLS {
 		prof := a.LS.Profile()
-		for k := range ts.lsX {
-			cx, cy := ts.lsX[k], ts.lsY[k]
-			for i := 0; i < n; i++ {
-				dx := px[i] - cx
-				dy := py[i] - cy
-				d2 := dx*dx + dy*dy
-				if d2 > ls2 {
-					continue
-				}
-				xx, yy, xy := prof.At(dx, dy, d2)
-				sxx[i] += xx
-				syy[i] += yy
-				sxy[i] += xy
-			}
-		}
+		prof.AccumTile(ts.lsX, ts.lsY, px, py, sxx, syy, sxy, ls2)
 	}
 	if doPair {
 		for k := range ts.rounds {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tsvstress/internal/geom"
@@ -254,5 +255,58 @@ func TestMapEmptyAndTiny(t *testing.T) {
 	want := pointwiseRef(a, pts, ModeFull)
 	if d := maxDiff(a.Map(pts, ModeFull), want); d > parityTol {
 		t.Errorf("tiny Map max diff %.3g MPa", d)
+	}
+}
+
+// TestMapIntoRejectsNonFiniteBatched pins the batched path's NaN/Inf
+// rejection, which the tiling's bounds pass performs: a 1012-point
+// MapInto with NaN, +Inf or −Inf at index k, in X or in Y, returns an
+// error naming k (the first bad index, even with a second one after
+// it) without panicking, and the pooled tiling it rejected in still
+// serves the next map. NewTiling names the same index.
+func TestMapIntoRejectsNonFiniteBatched(t *testing.T) {
+	a := randomAnalyzer(t, 40, 1e-2, 3, Options{})
+	good := randomPoints(a, 1000, 5)
+	want := pointwiseRef(a, good, ModeFull)
+	dst := make([]tensor.Stress, len(good))
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, inY := range []bool{false, true} {
+			for _, k := range []int{0, 1, 517, len(good) - 1} {
+				pts := append([]geom.Point(nil), good...)
+				set := func(i int) {
+					if inY {
+						pts[i].Y = bad
+					} else {
+						pts[i].X = bad
+					}
+				}
+				set(k)
+				if k+5 < len(pts) {
+					set(k + 5)
+				}
+				name := fmt.Sprintf("%g in Y=%v at %d", bad, inY, k)
+				err := func() (err error) {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("%s: MapInto panicked: %v", name, r)
+						}
+					}()
+					return a.MapInto(context.Background(), dst, pts, ModeFull)
+				}()
+				tag := fmt.Sprintf("point %d ", k)
+				if err == nil || !strings.Contains(err.Error(), tag) {
+					t.Fatalf("%s: MapInto error %v, want one naming %q", name, err, tag)
+				}
+				if _, err := NewTiling(pts, a.Options().GatherCutoff(ModeFull)); err == nil || !strings.Contains(err.Error(), tag) {
+					t.Fatalf("%s: NewTiling error %v, want one naming %q", name, err, tag)
+				}
+			}
+		}
+	}
+	if err := a.MapInto(context.Background(), dst, good, ModeFull); err != nil {
+		t.Fatal(err)
+	}
+	if d := maxDiff(dst, want); d > parityTol {
+		t.Errorf("MapInto after rejected batches: max diff %.3g MPa", d)
 	}
 }

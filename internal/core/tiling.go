@@ -50,13 +50,10 @@ func NewTiling(pts []geom.Point, cutoff float64) (*Tiling, error) {
 	if !floats.IsFinite(cutoff) || cutoff <= 0 {
 		return nil, fmt.Errorf("core: tiling cutoff %g must be positive and finite", cutoff)
 	}
-	for i := range pts {
-		if !floats.IsFinite(pts[i].X) || !floats.IsFinite(pts[i].Y) {
-			return nil, errNonFinitePoint(i, pts[i])
-		}
-	}
 	tl := &Tiling{}
-	tl.build(pts, cutoff)
+	if bad := tl.build(pts, cutoff); bad >= 0 {
+		return nil, errNonFinitePoint(bad, pts[bad])
+	}
 	tl.cells = make([]int32, tl.nx*tl.ny)
 	for i := range tl.cells {
 		tl.cells[i] = -1
@@ -138,16 +135,24 @@ func cellSpan(lo, hi, origin, invT float64, n int) (first, last int, ok bool) {
 
 // build bins pts into square tiles of side ~cutoff/2 and counting-sorts
 // the point indices by tile, reusing the receiver's buffers (the pooled
-// MapInto path rebuilds one scratch Tiling per call).
-func (tl *Tiling) build(pts []geom.Point, cutoff float64) {
+// MapInto path rebuilds one scratch Tiling per call). It returns -1, or
+// the index of the first non-finite point, in which case the receiver
+// holds no usable partition.
+func (tl *Tiling) build(pts []geom.Point, cutoff float64) (bad int) {
 	tl.n = len(pts)
 	tl.cutoff = cutoff
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	// Plain compares: the points are pre-validated finite, so the
-	// NaN/signed-zero semantics of math.Min/Max are not needed and the
-	// calls would dominate this pass.
-	for _, p := range pts {
+	// The bounds pass doubles as the finiteness check: x − x is 0 for
+	// every finite x and NaN for NaN and ±Inf (the min/max compares
+	// alone let NaN through). A NaN/Inf coordinate would poison the
+	// binning: int(NaN) is unspecified and can make a negative grid
+	// size. Past the check the compares need no math.Min/Max
+	// NaN/signed-zero semantics, whose calls would dominate this pass.
+	for i, p := range pts {
+		if !(p.X-p.X == 0 && p.Y-p.Y == 0) {
+			return i
+		}
 		if p.X < minX {
 			minX = p.X
 		}
@@ -212,6 +217,7 @@ func (tl *Tiling) build(pts []geom.Point, cutoff float64) {
 		tl.counts[id]++
 	}
 	tl.half = t * math.Sqrt2 / 2
+	return -1
 }
 
 // EvalTiles evaluates the selected field at the points of the listed

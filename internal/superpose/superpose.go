@@ -44,7 +44,8 @@ func (o Options) withDefaults() Options {
 //	σxx = A + B(dx²−dy²)/r⁴,  σyy = A − B(dx²−dy²)/r⁴,  σxy = 2B·dx·dy/r⁴
 //
 // with A = body stress and B = 0 in the body, A and B = −E/(1+ν)·Bl in
-// the liner, and A = 0 and B = K in the substrate (Eq. 6).
+// the liner, and A = 0 and B = K in the substrate (Eq. 6). The lane
+// kernel (lanes_amd64.s) reads the fields by name through go_asm.h.
 type Profile struct {
 	// r2 and rPrime2 are the squared ring radii: a point is in the body
 	// when d² < r2 and in the liner when r2 ≤ d² < rPrime2.
@@ -83,6 +84,42 @@ func (f *Profile) At(dx, dy, d2 float64) (xx, yy, xy float64) {
 	return a + h, a - h, 2 * w * dx * dy
 }
 
+// AccumTile adds, for every point (px[i], py[i]), the contribution of
+// every candidate center (cx[k], cy[k]) with d² ≤ cut2 into the
+// accumulator lanes sxx, syy, sxy: the SoA form of summing At per
+// point. Each point sums its candidates in k order through At's
+// operations, so the lanes come out bit-identical whichever kernel
+// runs, and out-of-range candidates leave a point's bits untouched.
+//
+// On amd64 hosts with AVX2 and FMA the bulk of the points runs four per
+// instruction (accumLanes); this loop takes the n mod 4 tail, and the
+// whole sweep elsewhere.
+//
+// cx and cy must have equal length, as must px, py, sxx, syy and sxy.
+func (f *Profile) AccumTile(cx, cy, px, py, sxx, syy, sxy []float64, cut2 float64) {
+	n := len(px)
+	if len(cy) != len(cx) || len(py) != n || len(sxx) != n || len(syy) != n || len(sxy) != n {
+		panic("superpose: AccumTile lane length mismatch")
+	}
+	lo := f.accumLanes(cx, cy, px, py, sxx, syy, sxy, cut2)
+	px, py, sxx, syy, sxy = px[lo:], py[lo:n], sxx[lo:n], syy[lo:n], sxy[lo:n]
+	for k := range cx {
+		ccx, ccy := cx[k], cy[k]
+		for i := range px {
+			dx := px[i] - ccx
+			dy := py[i] - ccy
+			d2 := dx*dx + dy*dy
+			if d2 > cut2 {
+				continue
+			}
+			xx, yy, xy := f.At(dx, dy, d2)
+			sxx[i] += xx
+			syy[i] += yy
+			sxy[i] += xy
+		}
+	}
+}
+
 // LS is the linear-superposition engine for one TSV structure. It is
 // immutable and safe for concurrent use.
 type LS struct {
@@ -106,7 +143,7 @@ func New(st material.Structure, opt Options) (*LS, error) {
 func (ls *LS) Cutoff() float64 { return ls.opt.Cutoff }
 
 // Profile returns the closed-form single-TSV field every contribution
-// is evaluated from; batched kernels call its At in their lane sweeps.
+// is evaluated from; the tile kernel sweeps it with AccumTile.
 func (ls *LS) Profile() Profile { return ls.prof }
 
 // StressAt superposes the contributions, in MPa, of all indexed TSVs

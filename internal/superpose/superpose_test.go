@@ -163,3 +163,126 @@ func TestManyTSVGridFiniteAndSymmetric(t *testing.T) {
 		t.Errorf("diagonal symmetry broken: σxx=%v σyy=%v", s.XX, s.YY)
 	}
 }
+
+// TestAccumTileBlockEdges pins AccumTile against the per-point sum of
+// At where a four-point lane kernel can go wrong: every lane length
+// 0–13 (whole blocks plus the n mod 4 tail) at every offset into a
+// point pool, 0 to 5 candidates, points exactly at the cutoff and 4
+// ulps either side of it, exactly at both ring interfaces and a few
+// ulps either side, the candidate's own centre (whose d² = 0 makes the
+// lane's b/d⁴ an infinity the body blend must drop), and body, liner,
+// substrate and out-of-range points sharing one block. A point with no
+// candidate in range must keep its accumulator bits.
+func TestAccumTileBlockEdges(t *testing.T) {
+	ls := newLS(t, Options{})
+	prof := ls.Profile()
+	// The centre and every on-boundary offset have few mantissa bits,
+	// so px − cx and d² are exact: d² == cut2, r2 and rPrime2 hold bit
+	// for bit (R = 2.5, R′ = 3).
+	c := geom.Pt(0.5, -1.25)
+	const cut = DefaultCutoff
+	cut2 := cut * cut
+	st := ls.Struct
+	up := func(x float64, k int) float64 {
+		for ; k > 0; k-- {
+			x = math.Nextafter(x, math.Inf(1))
+		}
+		return x
+	}
+	down := func(x float64, k int) float64 {
+		for ; k > 0; k-- {
+			x = math.Nextafter(x, math.Inf(-1))
+		}
+		return x
+	}
+	at := func(r, ang float64) geom.Point {
+		return geom.Pt(c.X+r*math.Cos(ang), c.Y+r*math.Sin(ang))
+	}
+	pool := []geom.Point{
+		c,                                    // centre, d² = 0
+		geom.Pt(c.X+st.R, c.Y),               // d² = r2 exactly: liner
+		geom.Pt(c.X+down(st.R, 2), c.Y),      // just inside the body
+		geom.Pt(c.X, c.Y+up(st.R, 2)),        // just inside the liner
+		geom.Pt(c.X-st.RPrime, c.Y),          // d² = rPrime2 exactly: substrate
+		geom.Pt(c.X, c.Y-down(st.RPrime, 2)), // just inside the liner
+		geom.Pt(c.X+up(st.RPrime, 2), c.Y),   // just inside the substrate
+		geom.Pt(c.X+cut, c.Y),                // d² = cut2 exactly
+		geom.Pt(c.X+up(cut, 4), c.Y),         // d² ≈ cut2·(1+1e-15)
+		geom.Pt(c.X-down(cut, 4), c.Y),       // d² ≈ cut2·(1−1e-15)
+		geom.Pt(c.X-15, c.Y+20),              // d² = cut2 exactly
+		at(1.2, 0.7),                         // body
+		at(2.8, 2.1),                         // liner
+		at(9, 4.0),                           // substrate
+		at(40, 5.1),                          // out of range
+	}
+	// Candidate sets: none, the centre alone, and the centre followed by
+	// neighbours that put several candidates in range of some points and
+	// none of others.
+	cands := [][]geom.Point{
+		nil,
+		{c},
+		{c, geom.Pt(c.X+10, c.Y+3), geom.Pt(c.X-60, c.Y)},
+		{geom.Pt(c.X-7, c.Y-7), c, geom.Pt(c.X+2.75, c.Y), geom.Pt(c.X+30, c.Y+30), geom.Pt(c.X+up(cut, 1), c.Y+cut)},
+	}
+	rng := rand.New(rand.NewSource(11))
+	worst := 0.0
+	for ci, cs := range cands {
+		cx, cy := make([]float64, len(cs)), make([]float64, len(cs))
+		for k, q := range cs {
+			cx[k], cy[k] = q.X, q.Y
+		}
+		for n := 0; n <= 13; n++ {
+			for off := 0; off < len(pool); off++ {
+				px, py := make([]float64, n), make([]float64, n)
+				sxx, syy, sxy := make([]float64, n), make([]float64, n), make([]float64, n)
+				init := make([]float64, 3*n)
+				for i := 0; i < n; i++ {
+					p := pool[(off+i)%len(pool)]
+					px[i], py[i] = p.X, p.Y
+					sxx[i], syy[i], sxy[i] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
+					init[3*i], init[3*i+1], init[3*i+2] = sxx[i], syy[i], sxy[i]
+				}
+				prof.AccumTile(cx, cy, px, py, sxx, syy, sxy, cut2)
+				for i := 0; i < n; i++ {
+					want := [3]float64{init[3*i], init[3*i+1], init[3*i+2]}
+					inRange := false
+					for k := range cx {
+						dx, dy := px[i]-cx[k], py[i]-cy[k]
+						if d2 := dx*dx + dy*dy; d2 <= cut2 {
+							xx, yy, xy := prof.At(dx, dy, d2)
+							want[0] += xx
+							want[1] += yy
+							want[2] += xy
+							inRange = true
+						}
+					}
+					got := [3]float64{sxx[i], syy[i], sxy[i]}
+					for j := 0; j < 3; j++ {
+						if !inRange && math.Float64bits(got[j]) != math.Float64bits(init[3*i+j]) {
+							t.Fatalf("cands %d n %d off %d point %d: out-of-range lane changed to %v", ci, n, off, i, got)
+						}
+						d := math.Abs(got[j] - want[j])
+						worst = math.Max(worst, d)
+						if !(d <= 1e-11) {
+							t.Fatalf("cands %d n %d off %d point %d (%v): tile %v vs per-point %v",
+								ci, n, off, i, geom.Pt(px[i], py[i]), got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("worst tile-vs-per-point diff: %.3g MPa", worst)
+}
+
+// TestAccumTileLaneMismatch pins the defensive length check.
+func TestAccumTileLaneMismatch(t *testing.T) {
+	prof := newLS(t, Options{}).Profile()
+	defer func() {
+		if recover() == nil {
+			t.Error("mismatched lane lengths must panic")
+		}
+	}()
+	four := make([]float64, 4)
+	prof.AccumTile(four[:1], four[:1], four, four[:3], four, four, four, 625)
+}
