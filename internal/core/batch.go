@@ -137,10 +137,16 @@ func (a *Analyzer) mapBatched(ctx context.Context, dst []tensor.Stress, pts []ge
 	if tl == nil {
 		tl = &Tiling{}
 	}
+	// A pooled tiling still holds the partition it last built; repeated
+	// maps of one point set (LS then Full, or a grid swept again) reuse
+	// it and skip the serial counting sort.
 	var err error
-	if bad := tl.build(pts, cutoff); bad >= 0 {
-		err = errNonFinitePoint(bad, pts[bad])
-	} else {
+	if !tl.matches(pts, cutoff, a.opt.Workers) {
+		if bad := tl.build(pts, cutoff); bad >= 0 {
+			err = errNonFinitePoint(bad, pts[bad])
+		}
+	}
+	if err == nil {
 		err = a.evalTileSet(ctx, dst, pts, tl, nil, nil, doLS, doPair)
 	}
 	a.mapPool.Put(tl)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"tsvstress/internal/field"
@@ -69,4 +70,34 @@ func BenchmarkFullChipMap(b *testing.B) {
 	b.Run("full-batched", func(b *testing.B) { benchMap(b, ModeFull, false) })
 	b.Run("ls-pointwise", func(b *testing.B) { benchMap(b, ModeLS, true) })
 	b.Run("full-pointwise", func(b *testing.B) { benchMap(b, ModeFull, true) })
+}
+
+// BenchmarkTiling times MapInto's partition step alone on the
+// fullChipSetup grid at the 25 µm gather cutoff: fresh is the serial
+// counting sort a cold map pays (build), revalidate the check a repeated
+// map of the same points pays instead (matches, in as many chunks as
+// GOMAXPROCS, which -cpu sets).
+func BenchmarkTiling(b *testing.B) {
+	a, pts := fullChipSetup(b)
+	cutoff := a.Options().GatherCutoff(ModeFull)
+	b.Run("fresh", func(b *testing.B) {
+		var tl Tiling
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if bad := tl.build(pts, cutoff); bad >= 0 {
+				b.Fatalf("point %d not finite", bad)
+			}
+		}
+	})
+	b.Run("revalidate", func(b *testing.B) {
+		var tl Tiling
+		tl.build(pts, cutoff)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if !tl.matches(pts, cutoff, runtime.GOMAXPROCS(0)) {
+				b.Fatal("revalidation rejected an unchanged grid")
+			}
+		}
+	})
 }

@@ -263,7 +263,9 @@ func TestMapEmptyAndTiny(t *testing.T) {
 // MapInto with NaN, +Inf or −Inf at index k, in X or in Y, returns an
 // error naming k (the first bad index, even with a second one after
 // it) without panicking, and the pooled tiling it rejected in still
-// serves the next map. NewTiling names the same index.
+// serves the next map. Each bad map follows a map of the clean points,
+// so the bad value meets the pooled tiling's revalidation before the
+// build that names it. NewTiling names the same index.
 func TestMapIntoRejectsNonFiniteBatched(t *testing.T) {
 	a := randomAnalyzer(t, 40, 1e-2, 3, Options{})
 	good := randomPoints(a, 1000, 5)
@@ -285,6 +287,9 @@ func TestMapIntoRejectsNonFiniteBatched(t *testing.T) {
 					set(k + 5)
 				}
 				name := fmt.Sprintf("%g in Y=%v at %d", bad, inY, k)
+				if err := a.MapInto(context.Background(), dst, good, ModeFull); err != nil {
+					t.Fatal(err)
+				}
 				err := func() (err error) {
 					defer func() {
 						if r := recover(); r != nil {

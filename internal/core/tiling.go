@@ -17,27 +17,33 @@ import (
 )
 
 // Tiling is the square spatial partition of a fixed point set used by
-// the tile-batched engine. MapInto builds one transiently per call; the
-// incremental engine (internal/incr) builds one once per session and
-// keeps it for the lifetime of the point set, re-evaluating only the
-// points an edit dirtied through EvalTiles.
+// the tile-batched engine. MapInto keeps pooled ones: each call first
+// checks whether a pooled tiling's last partition is exactly the one
+// its points would produce (matches) and re-sorts only when it is not,
+// so repeated maps of one grid sort it once. The incremental engine
+// (internal/incr) builds one once per session and keeps it for the
+// lifetime of the point set, re-evaluating only the points an edit
+// dirtied through EvalTiles.
 //
 // A Tiling is immutable after NewTiling and safe for concurrent use;
 // the zero value is reusable scratch for the pooled MapInto path.
 type Tiling struct {
-	tileOf []int32 // build scratch: point → grid cell
+	tileOf []int32 // point → grid cell (matches re-checks it)
 	counts []int32 // build scratch: counting sort
 	order  []int32 // point indices sorted by tile
 	tiles  []tile
 	// cells maps a grid cell to its tile id (-1 when empty). Only
 	// NewTiling fills it; the pooled MapInto build never queries cells.
 	cells      []int32
-	minX, minY float64 // grid origin
+	minX, minY float64 // grid origin: the smallest coordinates
+	maxX, maxY float64 // the largest coordinates
+	ext        [4]int  // indices of the points holding minX, maxX, minY, maxY
 	side       float64 // tile side
 	nx, ny     int     // grid dimensions in cells
 	half       float64 // tile half-diagonal
 	cutoff     float64 // the gather-radius argument build was called with
-	n          int     // number of partitioned points
+	n          int     // number of partitioned points; 0 after a rejected build
+	chunkOK    []bool  // matches scratch: one verdict per parallel chunk
 }
 
 // NewTiling partitions pts into square tiles sized for gather radius
@@ -134,41 +140,47 @@ func cellSpan(lo, hi, origin, invT float64, n int) (first, last int, ok bool) {
 }
 
 // build bins pts into square tiles of side ~cutoff/2 and counting-sorts
-// the point indices by tile, reusing the receiver's buffers (the pooled
-// MapInto path rebuilds one scratch Tiling per call). It returns -1, or
-// the index of the first non-finite point, in which case the receiver
-// holds no usable partition.
+// the point indices by tile, reusing the receiver's buffers. It returns
+// -1, or the index of the first non-finite point, in which case the
+// receiver holds no usable partition (n = 0, which matches rejects). An
+// empty point set gets an empty 0×0 grid.
 func (tl *Tiling) build(pts []geom.Point, cutoff float64) (bad int) {
-	tl.n = len(pts)
-	tl.cutoff = cutoff
+	tl.n = 0
+	t := cutoff / 2
+	if t <= 0 {
+		t = 1
+	}
+	if len(pts) == 0 {
+		tl.side, tl.nx, tl.ny, tl.half, tl.cutoff = t, 0, 0, t*math.Sqrt2/2, cutoff
+		tl.tiles = tl.tiles[:0]
+		return -1
+	}
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
+	var ext [4]int
 	// The bounds pass doubles as the finiteness check: x − x is 0 for
 	// every finite x and NaN for NaN and ±Inf (the min/max compares
 	// alone let NaN through). A NaN/Inf coordinate would poison the
 	// binning: int(NaN) is unspecified and can make a negative grid
 	// size. Past the check the compares need no math.Min/Max
 	// NaN/signed-zero semantics, whose calls would dominate this pass.
+	// ext records the first point to reach each bound, for matches.
 	for i, p := range pts {
 		if !(p.X-p.X == 0 && p.Y-p.Y == 0) {
 			return i
 		}
 		if p.X < minX {
-			minX = p.X
+			minX, ext[0] = p.X, i
 		}
 		if p.X > maxX {
-			maxX = p.X
+			maxX, ext[1] = p.X, i
 		}
 		if p.Y < minY {
-			minY = p.Y
+			minY, ext[2] = p.Y, i
 		}
 		if p.Y > maxY {
-			maxY = p.Y
+			maxY, ext[3] = p.Y, i
 		}
-	}
-	t := cutoff / 2
-	if t <= 0 {
-		t = 1
 	}
 	w, h := maxX-minX, maxY-minY
 	if w > t*maxTileGridDim {
@@ -178,12 +190,13 @@ func (tl *Tiling) build(pts []geom.Point, cutoff float64) (bad int) {
 		t = h / maxTileGridDim
 	}
 	// The grid size uses the binning arithmetic below, so the largest
-	// coordinate lands in the last cell without clamping (cellSpan
-	// relies on it).
+	// coordinate lands in the last cell without clamping (cellSpan and
+	// matches rely on it).
 	invT := 1 / t
 	nx := int(w*invT) + 1
 	ny := int(h*invT) + 1
-	tl.minX, tl.minY, tl.side, tl.nx, tl.ny = minX, minY, t, nx, ny
+	tl.minX, tl.minY, tl.maxX, tl.maxY, tl.ext = minX, minY, maxX, maxY, ext
+	tl.side, tl.nx, tl.ny = t, nx, ny
 
 	tl.tileOf = growI32(tl.tileOf, len(pts))
 	tl.counts = growI32(tl.counts, nx*ny)
@@ -217,7 +230,84 @@ func (tl *Tiling) build(pts []geom.Point, cutoff float64) (bad int) {
 		tl.counts[id]++
 	}
 	tl.half = t * math.Sqrt2 / 2
+	tl.n, tl.cutoff = len(pts), cutoff
 	return -1
+}
+
+// minCheckChunk is the fewest points matches hands a goroutine of its
+// own: below it the spawn costs more than the chunk's compares.
+const minCheckChunk = 16384
+
+// matches reports whether build(pts, cutoff) would reproduce the
+// receiver's partition exactly, without re-sorting. The partition is a
+// function of the point count, the cutoff, the four bounds (which fix
+// the tile side, the origin and the grid size) and each point's cell,
+// so it matches when
+//   - n and the cutoff are unchanged (the cutoff bit for bit);
+//   - the points recorded as extremes still hold those exact bounds
+//     and every point lies inside them, so a fresh bounds pass finds
+//     the same values (up to the sign of a zero bound, which moves no
+//     cell and no tile center);
+//   - every point bins, through build's arithmetic, into its recorded
+//     cell (inside the bounds build's clamp never binds).
+//
+// A NaN or ±Inf coordinate fails the in-bounds compare, so build sees
+// it and names its index as before. The point-wise checks run in up to
+// workers contiguous chunks; one chunk runs inline and allocates
+// nothing.
+func (tl *Tiling) matches(pts []geom.Point, cutoff float64, workers int) bool {
+	n := len(pts)
+	if n == 0 || n != tl.n || math.Float64bits(cutoff) != math.Float64bits(tl.cutoff) {
+		return false
+	}
+	if math.Float64bits(pts[tl.ext[0]].X) != math.Float64bits(tl.minX) ||
+		math.Float64bits(pts[tl.ext[1]].X) != math.Float64bits(tl.maxX) ||
+		math.Float64bits(pts[tl.ext[2]].Y) != math.Float64bits(tl.minY) ||
+		math.Float64bits(pts[tl.ext[3]].Y) != math.Float64bits(tl.maxY) {
+		return false
+	}
+	chunks := min(workers, n/minCheckChunk)
+	if chunks <= 1 {
+		return tl.cellsMatch(pts, 0, n)
+	}
+	if cap(tl.chunkOK) < chunks {
+		tl.chunkOK = make([]bool, chunks)
+	}
+	ok := tl.chunkOK[:chunks]
+	var wg sync.WaitGroup
+	for c := 1; c < chunks; c++ {
+		wg.Add(1)
+		go func(c, lo, hi int) {
+			defer wg.Done()
+			ok[c] = tl.cellsMatch(pts, lo, hi)
+		}(c, c*n/chunks, (c+1)*n/chunks)
+	}
+	ok[0] = tl.cellsMatch(pts, 0, n/chunks)
+	wg.Wait()
+	for _, v := range ok {
+		if !v {
+			return false
+		}
+	}
+	return true
+}
+
+// cellsMatch is matches' per-point check over pts[lo:hi]: straight-line
+// compares ORed into one flag. The bounds are checked, not recomputed,
+// so no min/max chain runs through the loop.
+func (tl *Tiling) cellsMatch(pts []geom.Point, lo, hi int) bool {
+	minX, minY, maxX, maxY := tl.minX, tl.minY, tl.maxX, tl.maxY
+	invT := 1 / tl.side
+	nx := tl.nx
+	pts = pts[lo:hi]
+	tileOf := tl.tileOf[lo:hi]
+	miss := false
+	for i, p := range pts {
+		in := p.X >= minX && p.X <= maxX && p.Y >= minY && p.Y <= maxY
+		id := int32(int((p.Y-minY)*invT)*nx + int((p.X-minX)*invT))
+		miss = miss || !in || id != tileOf[i]
+	}
+	return !miss
 }
 
 // EvalTiles evaluates the selected field at the points of the listed

@@ -150,9 +150,18 @@ func New(ctx context.Context, st material.Structure, pl *geom.Placement, pts []g
 		e.prevIdx[j] = j
 	}
 	e.stats.TotalTiles = tl.NumTiles()
-	if err := an.MapInto(ctx, e.vals, e.pts, mode); err != nil {
+	// The initial map evaluates every tile of the session's own tiling,
+	// the partition a MapInto of these points would sort out again, so
+	// the points are partitioned once and the values are a batched
+	// MapInto's bit for bit.
+	e.ids = make([]int32, tl.NumTiles())
+	for id := range e.ids {
+		e.ids[id] = int32(id)
+	}
+	if err := an.EvalTiles(ctx, e.vals, e.pts, tl, e.ids, nil, mode); err != nil {
 		return nil, err
 	}
+	e.ids = e.ids[:0]
 	return e, nil
 }
 
