@@ -43,7 +43,7 @@ type Options struct {
 	PairDistCutoff float64
 	// MMax is the interactive-series truncation (default 10).
 	MMax int
-	// Workers bounds the parallelism of Map calls (default NumCPU).
+	// Workers bounds the parallelism of Map calls (default GOMAXPROCS).
 	Workers int
 }
 
@@ -61,7 +61,7 @@ func (o Options) withDefaults() Options {
 		o.MMax = interact.DefaultMMax
 	}
 	if o.Workers <= 0 {
-		o.Workers = runtime.NumCPU()
+		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tsvstress/internal/field"
@@ -106,10 +107,29 @@ func stressDiff(a, b tensor.Stress) float64 {
 // items at random, so the pools reallocate and the count is only
 // asserted in non-race builds; the sweep itself still runs.
 func TestMapIntoZeroAllocSteadyState(t *testing.T) {
+	requireZeroAllocMapInto(t, Options{Workers: 1})
+}
+
+// TestDefaultWorkersFollowGOMAXPROCS pins the Workers default to
+// GOMAXPROCS rather than the host's CPU count: under GOMAXPROCS(1),
+// Options{} resolves to one worker, and its steady-state MapInto
+// allocates nothing, like an explicit Workers: 1.
+func TestDefaultWorkersFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if w := (Options{}).withDefaults().Workers; w != 1 {
+		t.Fatalf("Options{} resolves to %d workers under GOMAXPROCS(1), want 1", w)
+	}
+	requireZeroAllocMapInto(t, Options{})
+}
+
+// requireZeroAllocMapInto maps a 16-TSV placement's unmasked point set
+// with opt and fails if a warm MapInto allocates.
+func requireZeroAllocMapInto(t *testing.T, opt Options) {
+	t.Helper()
 	st := material.Baseline(material.BCB)
 	rng := rand.New(rand.NewSource(7))
 	pl := randomPlacement(rng, st, 4, 4)
-	an, err := New(st, pl, Options{Workers: 1})
+	an, err := New(st, pl, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,6 +152,6 @@ func TestMapIntoZeroAllocSteadyState(t *testing.T) {
 		}
 	})
 	if avg != 0 && !raceEnabled {
-		t.Fatalf("MapInto allocates %.1f times per steady-state call, want 0", avg)
+		t.Fatalf("MapInto (Workers %d) allocates %.1f times per steady-state call, want 0", an.Options().Workers, avg)
 	}
 }

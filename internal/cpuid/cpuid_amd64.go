@@ -19,6 +19,16 @@ func detectAVX2FMA() bool {
 	return ebx&avx2 != 0
 }
 
+// detectAVX512 assumes detectAVX2FMA held, so leaf 7 and XGETBV exist.
+func detectAVX512() bool {
+	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
+		return false
+	}
+	const avx512f = 1 << 16
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx512f != 0
+}
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)

@@ -3,3 +3,5 @@
 package cpuid
 
 func detectAVX2FMA() bool { return false }
+
+func detectAVX512() bool { return false }

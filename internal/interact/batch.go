@@ -23,7 +23,7 @@ import (
 //
 // so the four per-harmonic aggregates Σ a cos(mψ), Σ a sin(mψ),
 // Σ b cos(mψ), Σ b sin(mψ) are point independent and computed once at
-// pack time. AccumulateAt then costs O(MMax) per point regardless of
+// pack time. A point then costs O(MMax) regardless of
 // how many rounds the victim participates in — the structural speedup
 // that makes dense full-chip Stage II tractable.
 //
@@ -154,46 +154,6 @@ func (vr *VictimRounds) NumRounds() int { return vr.rounds }
 // Vic returns the shared victim center.
 func (vr *VictimRounds) Vic() geom.Point { return geom.Pt(vr.vicX, vr.vicY) }
 
-// AccumulateAt adds the summed interactive stress of all packed rounds
-// at (px, py) into acc. It matches summing PairEval.StressAt over the
-// rounds to round-off: the factorization above is an exact trig
-// identity, so only summation order and recurrence rounding differ.
-func (vr *VictimRounds) AccumulateAt(px, py float64, acc *tensor.Stress) {
-	relX := px - vr.vicX
-	relY := py - vr.vicY
-	r := math.Hypot(relX, relY)
-	if r < vr.rPrime {
-		*acc = acc.Add(vr.interiorAt(relX, relY, r))
-		return
-	}
-	cphi, sphi := relX/r, relY/r
-	inv := vr.rPrime / r // 1/ρ̂ < 1
-	inv2 := inv * inv
-	pm := inv2 // ρ̂^{−m} starting at m = 2
-	// cos/sin(mφ) recurrence starting at m = 2.
-	cm := cphi*cphi - sphi*sphi
-	sm := 2 * sphi * cphi
-	var rr, tt, rt float64
-	for i := 0; i < vr.nm; i++ {
-		fm := float64(i + 2)
-		ac := cm*vr.ca[i] + sm*vr.sa[i] // Σ_r a cos(mθ_r)
-		as := sm*vr.ca[i] - cm*vr.sa[i] // Σ_r a sin(mθ_r)
-		bc := (cm*vr.cb[i] + sm*vr.sb[i]) * inv2
-		bs := (sm*vr.cb[i] - cm*vr.sb[i]) * inv2
-		rr += pm * ((2+fm)*ac - bc)
-		tt += pm * ((2-fm)*ac + bc)
-		rt += pm * (fm*as - bs)
-		pm *= inv
-		cm, sm = cm*cphi-sm*sphi, sm*cphi+cm*sphi
-	}
-	// One polar→Cartesian rotation for the victim's whole round set
-	// (the r-axis at angle φ is shared by every round).
-	c2, s2, cs := cphi*cphi, sphi*sphi, cphi*sphi
-	acc.XX += rr*c2 - 2*rt*cs + tt*s2
-	acc.YY += rr*s2 + 2*rt*cs + tt*c2
-	acc.XY += (rr-tt)*cs + rt*(c2-s2)
-}
-
 // interiorAt returns the summed interactive stress of all packed rounds
 // at a point inside the victim footprint, given its offset (relX, relY)
 // from the victim center and r = Hypot(relX, relY) < R′. Per harmonic
@@ -256,7 +216,8 @@ func (vr *VictimRounds) interiorAt(relX, relY, r float64) tensor.Stress {
 
 // AccumulateTile adds this victim's interactive stress into the tile
 // accumulator lanes for every point with squared distance ≤ pd2 from
-// the victim center — the SoA form of calling AccumulateAt per point.
+// the victim center — the SoA form of the per-point polar sum (its
+// scalar form, AccumulateAt, is the tests' oracle).
 //
 // It evaluates the same harmonic sum through a complex reformulation
 // that needs no radial norm and exactly one division per contributing
@@ -275,18 +236,19 @@ func (vr *VictimRounds) interiorAt(relX, relY, r float64) tensor.Stress {
 //	V    = U·e^{2iφ} = (U·w²)·(d²/R′²)
 //	σxx += 2·Re(S·w²) + Re V,  σyy += 2·Re(S·w²) − Re V,  σxy += Im V
 //
-// which matches AccumulateAt's polar recurrence + rotation to round-off
-// (the parity tests pin ≤1e-9 MPa; in isolation the two forms agree to
-// ~1e-13). Every point evaluates the full MMax series, like
-// AccumulateAt and the pointwise path: inside a dense placement's
-// cutoff no harmonic is negligible.
+// which matches the polar recurrence + rotation to round-off (the
+// parity tests pin ≤1e-9 MPa; in isolation the two forms agree to
+// ~1e-13). Every point evaluates the full MMax series, like the
+// pointwise path: inside a dense placement's cutoff no harmonic is
+// negligible.
 //
-// On amd64 hosts with AVX2 and FMA the bulk of the lanes runs four
-// points per instruction (accumLanes); the portable Go kernel takes the
-// n mod 4 tail, every guard-band point, and the whole sweep elsewhere.
+// On amd64 hosts the bulk of the lanes runs eight points per
+// instruction with AVX-512, or four with AVX2 and FMA (accumLanes); the
+// portable Go kernel takes the n mod 4 tail, every guard-band point,
+// and the whole sweep elsewhere.
 //
 // px, py, sxx, syy, sxy must have equal length. Points inside the
-// victim footprint take interiorAt, as in AccumulateAt (the
+// victim footprint take interiorAt, as on the pointwise path (the
 // classification reproduces its Hypot compare exactly via rp2Guard).
 func (vr *VictimRounds) AccumulateTile(px, py, sxx, syy, sxy []float64, pd2 float64) {
 	n := len(px)

@@ -119,3 +119,108 @@ store:
 done:
 	VZEROUPPER
 	RET
+
+// Register map of accumTileAVX512 (eight points per lane, the
+// operations of accumTileAVX2 in the same order):
+//   Z0, Z1, Z2  the block's sxx, syy, sxy    Z3, Z4  its px, py
+//   Z5, Z6      dx, dy                       Z7, Z8  dx², dy²
+//   Z9          d²                           Z12–Z14 temporaries
+//   Z16 cut2, Z17 r2, Z18 rPrime2, Z19 linerA, Z20 linerB, Z21 subB,
+//   Z22 bodyA, broadcast once per call.
+//   K1 add mask, K2 liner-or-body (d² < rPrime2), K3 body (d² < r2),
+//   K4 not body.
+// GP registers as in accumTileAVX2.
+
+// func accumTileAVX512(f *Profile, cx, cy, px, py, sxx, syy, sxy []float64, cut2 float64)
+TEXT ·accumTileAVX512(SB), NOSPLIT, $0-184
+	MOVQ         f+0(FP), AX
+	VBROADCASTSD cut2+176(FP), Z16
+	VBROADCASTSD Profile_r2(AX), Z17
+	VBROADCASTSD Profile_rPrime2(AX), Z18
+	VBROADCASTSD Profile_linerA(AX), Z19
+	VBROADCASTSD Profile_linerB(AX), Z20
+	VBROADCASTSD Profile_subB(AX), Z21
+	VBROADCASTSD Profile_bodyA(AX), Z22
+
+	MOVQ cx_base+8(FP), SI
+	MOVQ cx_len+16(FP), CX
+	MOVQ cy_base+32(FP), DI
+	MOVQ px_base+56(FP), R8
+	MOVQ px_len+64(FP), R13
+	MOVQ py_base+80(FP), R9
+	MOVQ sxx_base+104(FP), R10
+	MOVQ syy_base+128(FP), R11
+	MOVQ sxy_base+152(FP), R12
+	XORQ DX, DX
+
+block512:
+	CMPQ    DX, R13
+	JAE     done512
+	VMOVUPD (R8)(DX*8), Z3
+	VMOVUPD (R9)(DX*8), Z4
+	VMOVUPD (R10)(DX*8), Z0
+	VMOVUPD (R11)(DX*8), Z1
+	VMOVUPD (R12)(DX*8), Z2
+	XORQ    BX, BX
+
+cand512:
+	CMPQ BX, CX
+	JAE  store512
+
+	VBROADCASTSD (SI)(BX*8), Z5
+	VSUBPD       Z5, Z3, Z5
+	VBROADCASTSD (DI)(BX*8), Z6
+	VSUBPD       Z6, Z4, Z6
+	VMULPD       Z5, Z5, Z7
+	VMULPD       Z6, Z6, Z8
+	VADDPD       Z8, Z7, Z9
+
+	// add = !(d² > cut2); skip the candidate when no lane is in range.
+	VCMPPD   $0x0a, Z16, Z9, K1
+	KORTESTW K1, K1
+	JZ       nextCand512
+
+	// b = linerB on liner lanes, else subB; a = linerA on liner lanes,
+	// else +0; w = b/d⁴.
+	VCMPPD    $0x01, Z18, Z9, K2
+	VMOVAPD   Z21, Z12
+	VMOVAPD   Z20, K2, Z12
+	VMOVAPD.Z Z19, K2, Z13
+	VMULPD    Z9, Z9, Z14
+	VDIVPD    Z14, Z12, Z12
+
+	// h = w·(dx² − dy²): xx = a + h, yy = a − h, xy = ((w+w)·dx)·dy,
+	// with xy zeroed on body lanes.
+	VCMPPD   $0x01, Z17, Z9, K3
+	KNOTW    K3, K4
+	VSUBPD   Z8, Z7, Z7
+	VMULPD   Z7, Z12, Z7
+	VADDPD   Z7, Z13, Z8
+	VSUBPD   Z7, Z13, Z7
+	VADDPD   Z12, Z12, Z12
+	VMULPD   Z5, Z12, Z12
+	VMULPD.Z Z6, Z12, K4, Z12
+
+	// Body lanes take (bodyA, bodyA, 0).
+	VMOVAPD Z22, K3, Z8
+	VMOVAPD Z22, K3, Z7
+
+	// Merge-masked adds: out-of-range lanes keep their bits.
+	VADDPD Z8, Z0, K1, Z0
+	VADDPD Z7, Z1, K1, Z1
+	VADDPD Z12, Z2, K1, Z2
+
+nextCand512:
+	INCQ BX
+	JMP  cand512
+
+store512:
+	VMOVUPD Z0, (R10)(DX*8)
+	VMOVUPD Z1, (R11)(DX*8)
+	VMOVUPD Z2, (R12)(DX*8)
+	ADDQ    $8, DX
+	JMP     block512
+
+done512:
+	VZEROUPPER
+	RET

@@ -45,7 +45,7 @@ func (o Options) withDefaults() Options {
 //
 // with A = body stress and B = 0 in the body, A and B = −E/(1+ν)·Bl in
 // the liner, and A = 0 and B = K in the substrate (Eq. 6). The lane
-// kernel (lanes_amd64.s) reads the fields by name through go_asm.h.
+// kernels (lanes_amd64.s) read the fields by name through go_asm.h.
 type Profile struct {
 	// r2 and rPrime2 are the squared ring radii: a point is in the body
 	// when d² < r2 and in the liner when r2 ≤ d² < rPrime2.
@@ -91,9 +91,9 @@ func (f *Profile) At(dx, dy, d2 float64) (xx, yy, xy float64) {
 // operations, so the lanes come out bit-identical whichever kernel
 // runs, and out-of-range candidates leave a point's bits untouched.
 //
-// On amd64 hosts with AVX2 and FMA the bulk of the points runs four per
-// instruction (accumLanes); this loop takes the n mod 4 tail, and the
-// whole sweep elsewhere.
+// On amd64 hosts the bulk of the points runs eight per instruction with
+// AVX-512, or four with AVX2 and FMA (accumLanes); this loop takes the
+// n mod 4 tail, and the whole sweep elsewhere.
 //
 // cx and cy must have equal length, as must px, py, sxx, syy and sxy.
 func (f *Profile) AccumTile(cx, cy, px, py, sxx, syy, sxy []float64, cut2 float64) {
