@@ -183,29 +183,6 @@ func TestStageIMatchesLame(t *testing.T) {
 	}
 }
 
-// TestArrayCoeffCacheCollapse checks the headline cache property: on a
-// regular TSV array the thousands of pair rounds share a handful of
-// distinct pitches, so core.New solves only a few coefficient pairs.
-func TestArrayCoeffCacheCollapse(t *testing.T) {
-	st := material.Baseline(material.BCB)
-	a, err := New(st, placegen.Array(10, 10, 10), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, hits := a.Model.CoeffCacheStats()
-	if a.NumPairRounds() < 500 {
-		t.Fatalf("array produced only %d rounds", a.NumPairRounds())
-	}
-	// Distinct pitches within the 25 µm cutoff on a 10 µm grid:
-	// 10, 10√2, 20, 10√5, 20√2 — allow slack but demand collapse.
-	if entries > 10 {
-		t.Errorf("cache has %d entries for %d rounds; want a handful", entries, a.NumPairRounds())
-	}
-	if entries+hits != a.NumPairRounds() {
-		t.Errorf("entries %d + hits %d != rounds %d", entries, hits, a.NumPairRounds())
-	}
-}
-
 // TestMapBatchedSingleWorker exercises the sequential tile path.
 func TestMapBatchedSingleWorker(t *testing.T) {
 	a := randomAnalyzer(t, 40, 1e-2, 7, Options{Workers: 1})

@@ -104,11 +104,10 @@ type Analyzer struct {
 	opt       Options
 
 	idx *spatial.Index
-	// pairEvals[j] holds one evaluator per aggressor→victim round with
-	// victim j (aggressors within PairPitchCutoff of TSV j).
-	pairEvals [][]interact.PairEval
-	// victimRounds[j] is the structure-of-arrays packing of pairEvals[j]
-	// used by the tile-batched engine (nil when TSV j has no rounds).
+	// victimRounds[j] packs every aggressor→victim round with victim j
+	// (aggressors within PairPitchCutoff of TSV j): the aggregated
+	// state the tile-batched engine streams and the round geometry the
+	// pointwise path evaluates one by one (nil when TSV j has no rounds).
 	victimRounds []*interact.VictimRounds
 	numPairs     int
 
@@ -119,7 +118,8 @@ type Analyzer struct {
 
 // New builds the analyzer: it solves the single-TSV model (the Stage I
 // profile constants), solves the per-harmonic interactive systems, and
-// builds the spatial index and the per-victim pair evaluators.
+// builds the spatial index and the per-victim packed rounds (in
+// parallel, see packVictims), exactly as Rebuild does.
 func New(st material.Structure, pl *geom.Placement, opt Options) (*Analyzer, error) {
 	opt = opt.withDefaults()
 	if err := pl.Validate(2 * st.RPrime); err != nil {
@@ -133,29 +133,7 @@ func New(st material.Structure, pl *geom.Placement, opt Options) (*Analyzer, err
 	if err != nil {
 		return nil, err
 	}
-	a := &Analyzer{
-		Struct:    st,
-		Placement: pl,
-		LS:        ls,
-		Model:     model,
-		opt:       opt,
-		idx:       spatial.NewIndex(pl.Centers(), maxF(opt.LSCutoff, opt.PairDistCutoff)),
-	}
-	// Build per-victim pair rounds; rounds at equal pitch share one
-	// coefficient pair via the model's pitch-keyed cache.
-	a.pairEvals = make([][]interact.PairEval, pl.Len())
-	a.victimRounds = make([]*interact.VictimRounds, pl.Len())
-	for j, vic := range pl.TSVs {
-		a.idx.Near(vic.Center, opt.PairPitchCutoff, func(i int, d float64) {
-			if i == j || d <= 0 {
-				return
-			}
-			a.pairEvals[j] = append(a.pairEvals[j], model.NewPairEval(vic.Center, pl.TSVs[i].Center))
-			a.numPairs++
-		})
-		a.victimRounds[j] = interact.PackRounds(a.pairEvals[j])
-	}
-	return a, nil
+	return (&Analyzer{Struct: st, LS: ls, Model: model, opt: opt}).rebuild(pl, nil), nil
 }
 
 // NumPairRounds returns the total number of aggressor→victim rounds.
@@ -172,13 +150,14 @@ func (a *Analyzer) StressLS(p geom.Point) tensor.Stress {
 
 // Interactive returns the Stage II correction at p in MPa: the
 // superposed interactive-stress contributions of all nearby pair
-// rounds.
+// rounds, evaluated round by round (PairEval.StressAt). It reads only
+// the packed rounds' geometry, never their aggregates, so it stays an
+// independent reference for the tile engine.
 func (a *Analyzer) Interactive(p geom.Point) tensor.Stress {
 	var s tensor.Stress
 	a.idx.Near(p, a.opt.PairDistCutoff, func(j int, _ float64) {
-		evs := a.pairEvals[j]
-		for k := range evs {
-			s = s.Add(evs[k].StressAt(p))
+		if vr := a.victimRounds[j]; vr != nil {
+			s = s.Add(vr.StressAtByRound(p))
 		}
 	})
 	return s

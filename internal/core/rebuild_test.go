@@ -10,65 +10,6 @@ import (
 	"tsvstress/internal/tensor"
 )
 
-// TestRebuildReusesCoefficientCache pins the edit-aware constructor
-// contract: rebuilding an analyzer after an edit must reuse the
-// pitch-keyed interact coefficient cache (and the solved models)
-// instead of recomputing transfer functions.
-func TestRebuildReusesCoefficientCache(t *testing.T) {
-	st := material.Baseline(material.BCB)
-	pl := placegen.Array(8, 8, 10) // regular array: few distinct pitches
-	an, err := New(st, pl, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries0, hits0 := an.Model.CoeffCacheStats()
-	if entries0 == 0 {
-		t.Fatal("array placement produced no cached pitches")
-	}
-
-	// Move the corner TSV outward by one pitch: every new pair distance
-	// is still a lattice distance already in the cache, so the rebuild
-	// must add no cache entries and satisfy every round from the cache.
-	edited := pl.Clone()
-	if err := (geom.Edit{Op: geom.EditMove, Index: 0, TSV: geom.TSV{Center: pl.TSVs[0].Center.Add(geom.Pt(-10, 0))}}).Apply(edited, 2*st.RPrime); err != nil {
-		t.Fatal(err)
-	}
-	nb, err := an.Rebuild(edited, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nb.Model != an.Model || nb.LS != an.LS {
-		t.Fatal("Rebuild did not share the solved models")
-	}
-	entries1, hits1 := nb.Model.CoeffCacheStats()
-	if entries1 != entries0 {
-		t.Errorf("lattice move added cache entries: %d → %d", entries0, entries1)
-	}
-	if hits1 <= hits0 {
-		t.Errorf("rebuild did not hit the coefficient cache (hits %d → %d)", hits0, hits1)
-	}
-
-	// The rebuilt analyzer must agree with a from-scratch one.
-	scratch, err := New(st, edited, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := gridPoints(t, edited, 3)
-	got := make([]tensor.Stress, len(pts))
-	want := make([]tensor.Stress, len(pts))
-	if err := nb.MapInto(context.Background(), got, pts, ModeFull); err != nil {
-		t.Fatal(err)
-	}
-	if err := scratch.MapInto(context.Background(), want, pts, ModeFull); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if d := maxAbsDiff(got[i], want[i]); d > 1e-9 {
-			t.Fatalf("rebuilt analyzer differs from scratch at %v by %g MPa", pts[i], d)
-		}
-	}
-}
-
 // TestRebuildSharesUnchangedRounds verifies the prev mapping: victims
 // far from the edit share their packed rounds by pointer.
 func TestRebuildSharesUnchangedRounds(t *testing.T) {

@@ -20,9 +20,9 @@
 // points (the partition MapInto uses). As edits are applied it marks
 // dirty exactly the points inside those discs, visiting only the tiles
 // near each disc, and on Flush rebuilds the analyzer through the
-// edit-aware constructor (core.Analyzer.Rebuild — shared Stage I table,
-// shared interactive model and pitch-coefficient cache, per-victim
-// rounds re-aggregated only where an edit touched them) and
+// edit-aware constructor (core.Analyzer.Rebuild — shared Stage I
+// engine and interactive model, per-victim rounds repacked only where
+// an edit touched them) and
 // re-evaluates just the dirty points of the dirty tiles concurrently.
 // Clean points keep their values, which is exact: their true field is
 // unchanged, and the dirty discs cover every affected point (the parity
@@ -104,11 +104,6 @@ type Stats struct {
 	// CanceledFlushes counts Flush calls aborted by context
 	// cancellation after at least the analyzer rebuild committed.
 	CanceledFlushes int
-	// CoeffCacheEntries and CoeffCacheHits mirror the shared interact
-	// model's pitch-keyed coefficient cache (entries solved, rounds
-	// served from cache).
-	CoeffCacheEntries int
-	CoeffCacheHits    int
 }
 
 // New builds an engine: it constructs the analyzer, partitions the
@@ -202,13 +197,8 @@ func (e *Engine) Pending() int { return e.pendingEdits }
 // flush.
 func (e *Engine) NeedsFlush() bool { return e.pendingEdits > 0 || e.needsEval }
 
-// Stats returns the engine counters, including the shared coefficient
-// cache state.
-func (e *Engine) Stats() Stats {
-	s := e.stats
-	s.CoeffCacheEntries, s.CoeffCacheHits = e.an.Model.CoeffCacheStats()
-	return s
-}
+// Stats returns the engine counters.
+func (e *Engine) Stats() Stats { return e.stats }
 
 // Apply validates ed against the current placement and applies it,
 // marking the affected points dirty. The field map is not updated until

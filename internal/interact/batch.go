@@ -15,45 +15,40 @@ import (
 //
 // Every round of a victim sees the same point geometry (relative
 // vector, its norm r, the polar angle φ and the decay base R′/r); a
-// round only differs by its axis angle ψ and its pitch-dependent
-// coefficients a_m, b_m. Writing the local angle as θ = φ − ψ and
-// expanding cos(mθ) and sin(mθ), the sum over rounds factorizes:
+// round only differs by its axis angle ψ and its pitch d, and its
+// scattered coefficients are the placement-independent unit solutions
+// (the paper's h_ij(m)) times the incident coefficient scale_m(d)
+// (potential.IncidentCoeff): a_m = ANeg_m·scale_m(d), b_m likewise.
+// With θ = φ − ψ the sum over rounds factorizes:
 //
-//	Σ_r a_m^r cos(mθ_r) = cos(mφ) Σ_r a_m^r cos(mψ_r) + sin(mφ) Σ_r a_m^r sin(mψ_r)
+//	Σ_r a_m^r cos(mθ_r) = ANeg_m·(cos(mφ)·ci_m + sin(mφ)·si_m)
+//	ci_m = Σ_r scale_m(d_r) cos(mψ_r),  si_m = Σ_r scale_m(d_r) sin(mψ_r)
 //
-// so the four per-harmonic aggregates Σ a cos(mψ), Σ a sin(mψ),
-// Σ b cos(mψ), Σ b sin(mψ) are point independent and computed once at
-// pack time. A point then costs O(MMax) regardless of
-// how many rounds the victim participates in — the structural speedup
-// that makes dense full-chip Stage II tractable.
-//
-// Inside the victim (r < R′) the same identity holds with the incident
-// coefficient scale_m(d) in place of a_m: the liner and body profiles
-// are scale_m(d)·P_m(ρ) with P_m pitch independent (Model.inner), so
-// the two further aggregates Σ scale_m cos(mψ) and Σ scale_m sin(mψ)
-// make interior points O(MMax) as well (see interiorAt).
-//
-// A VictimRounds is immutable after Pack and safe for concurrent use.
+// so a point costs O(MMax) however many rounds the victim has — the
+// structural speedup that makes dense full-chip Stage II tractable.
+// Inside the victim the profiles are scale_m(d)·P_m(ρ) with P_m pitch
+// independent (Model.inner), so the same ci, si serve interior points
+// (interiorAt). The rounds' geometry is kept too, for the pointwise
+// reference path (StressAtByRound). A VictimRounds is immutable after
+// PackRounds and safe for concurrent use.
 type VictimRounds struct {
 	vicX, vicY float64
 	rPrime     float64
 	k          float64 // R/R′: body/liner interface in scaled radius
 	nm         int     // harmonics (MMax−1)
-	rounds     int     // packed (non-degenerate) rounds
-	// Aggregated coefficients, each of length nm (index m−2):
-	// ca[i] = Σ_r a_i^r cos(mψ_r), sa[i] = Σ_r a_i^r sin(mψ_r),
-	// cb/sb likewise for b, and ci/si likewise for the incident
-	// coefficient scale_m(d_r). Backed by one slab.
-	ca, sa, cb, sb, ci, si []float64
-	inner                  []innerCoeffs // the Model's unit interior profiles
+	mo         *Model
 
 	// SoA complex-Horner state for AccumulateTile (see the derivation
-	// there). horner is step-major, one hornerStep per harmonic index
-	// i: [γRe, γIm, (i+2)·γRe, (i+2)·γIm, βRe, βIm] with
-	// γ_i = ca[i] − i·sa[i] and β_i = cb[i] − i·sb[i], so one Horner
-	// step streams a single 48-byte run and indexes with one bounds
-	// check at most.
-	horner []hornerStep
+	// there). horner is step-major, hornerStride floats per harmonic
+	// index i: [γRe, γIm, (i+2)·γRe, (i+2)·γIm, βRe, βIm] with
+	// γ_i = ANeg_i·(ci[i] − i·si[i]) and β_i = BNeg_i·(ci[i] − i·si[i]),
+	// so one Horner step streams a single 48-byte run.
+	horner []float64
+	// ci, si are the incident aggregates (index m−2) interiorAt reads.
+	ci, si []float64
+	// rounds holds roundStride floats per packed round. horner, ci, si
+	// and rounds share one slab.
+	rounds []float64
 	// rp2Guard is R′²·(1+guard): below it the exterior/interior
 	// classification recomputes math.Hypot so it is bit-identical to
 	// the scalar paths (σθθ jumps across Γ1, so a 1-ulp disagreement
@@ -70,86 +65,101 @@ const hornerStride = 6
 // hornerStep is one harmonic's packed coefficient run.
 type hornerStep [hornerStride]float64
 
-// PackRounds builds the aggregated view over rounds, which must all
-// share one victim center (as the per-victim lists built by the
-// analyzer do). Degenerate rounds (non-positive pitch) contribute zero
-// and are dropped. Returns nil when no evaluable round remains.
-func PackRounds(evs []PairEval) *VictimRounds {
-	var vr *VictimRounds
-	for r := range evs {
-		pe := &evs[r]
-		if pe.d <= 0 {
-			continue
-		}
-		if vr == nil {
-			mo := pe.model
-			nm := len(pe.a)
-			slab := make([]float64, 6*nm)
-			vr = &VictimRounds{
-				vicX:   pe.vic.X,
-				vicY:   pe.vic.Y,
-				rPrime: pe.rPrime,
-				k:      mo.Struct.K(),
-				nm:     nm,
-				ca:     slab[0*nm : 1*nm],
-				sa:     slab[1*nm : 2*nm],
-				cb:     slab[2*nm : 3*nm],
-				sb:     slab[3*nm : 4*nm],
-				ci:     slab[4*nm : 5*nm],
-				si:     slab[5*nm : 6*nm],
-				inner:  mo.inner,
-			}
-		}
-		vr.rounds++
-		// Incident coefficient scale_m = −(K/R′²)·(m−1)·q^m with
-		// q = 1/d̂ = R′/d (potential.IncidentCoeff), by recurrence in q.
-		q := pe.rPrime / pe.d
-		kr := -pe.model.Lame.K / (pe.rPrime * pe.rPrime)
-		qm := q * q
-		// cos/sin(mψ) recurrence over the round's axis angle ψ,
-		// starting at m = 2.
-		c1, s1 := pe.axX, pe.axY
-		cm := c1*c1 - s1*s1
-		sm := 2 * s1 * c1
-		for i := 0; i < vr.nm; i++ {
-			scale := kr * float64(i+1) * qm
-			vr.ca[i] += pe.a[i] * cm
-			vr.sa[i] += pe.a[i] * sm
-			vr.cb[i] += pe.b[i] * cm
-			vr.sb[i] += pe.b[i] * sm
-			vr.ci[i] += scale * cm
-			vr.si[i] += scale * sm
-			qm *= q
-			cm, sm = cm*c1-sm*s1, sm*c1+cm*s1
-		}
-	}
-	if vr == nil {
+// step returns harmonic index i's run of the Horner slab.
+func (vr *VictimRounds) step(i int) *hornerStep {
+	return (*hornerStep)(vr.horner[hornerStride*i:])
+}
+
+// roundStride is the number of floats per packed round: the aggressor
+// center (x, y), the unit axis victim→aggressor (x, y) and q = R′/d,
+// exactly the geometry NewPairEval derives.
+const roundStride = 5
+
+// PackRounds packs the rounds of the victim centered at vic against
+// each aggressor center in aggs. Degenerate rounds (an aggressor at the
+// victim center) contribute zero and are dropped. Returns nil when no
+// evaluable round remains. The result owns its storage: one struct and
+// one slab, whatever the round count.
+func (mo *Model) PackRounds(vic geom.Point, aggs []geom.Point) *VictimRounds {
+	if len(aggs) == 0 {
 		return nil
 	}
-	vr.packHorner()
+	nm := mo.MMax - 1
+	rp := mo.Struct.RPrime
+	slab := make([]float64, (hornerStride+2)*nm+roundStride*len(aggs))
+	ci := slab[hornerStride*nm : (hornerStride+1)*nm]
+	si := slab[(hornerStride+1)*nm : (hornerStride+2)*nm]
+	geo := slab[(hornerStride+2)*nm:]
+	vr := &VictimRounds{
+		vicX:   vic.X,
+		vicY:   vic.Y,
+		rPrime: rp,
+		k:      mo.Struct.K(),
+		nm:     nm,
+		mo:     mo,
+		horner: slab[:hornerStride*nm],
+		ci:     ci,
+		si:     si,
+	}
+	n := 0
+	kr := -mo.Lame.K / (rp * rp)
+	for _, agg := range aggs {
+		axis := agg.Sub(vic)
+		d := math.Sqrt(axis.X*axis.X + axis.Y*axis.Y) // as NewPairEval
+		if d <= 0 {
+			continue
+		}
+		c1, s1, q := axis.X/d, axis.Y/d, rp/d
+		g := geo[roundStride*n : roundStride*(n+1)]
+		g[0], g[1], g[2], g[3], g[4] = agg.X, agg.Y, c1, s1, q
+		n++
+		// The incident coefficient is scale_m = −(K/R′²)·(m−1)·q^m
+		// (potential.IncidentCoeff), so scale_m·e^{imψ} is −(K/R′²)·(m−1)
+		// times z^m with z = q·e^{iψ}: one complex recurrence from m = 2
+		// carries the decay and the axis angle, and the harmonic's
+		// constant factor multiplies the sum once, below.
+		zr, zi := q*c1, q*s1
+		cr, cim := zr*zr-zi*zi, 2*zr*zi
+		for i := range ci {
+			ci[i] += cr
+			si[i] += cim
+			cr, cim = cr*zr-cim*zi, cim*zr+cr*zi
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	vr.rounds = geo[:roundStride*n]
+	for i := range ci {
+		scale := kr * float64(i+1)
+		ci[i] *= scale
+		si[i] *= scale
+		a, b := mo.units[i].sub.ANeg, mo.units[i].sub.BNeg
+		fm := float64(i + 2)
+		gR, gI := a*ci[i], -a*si[i]
+		*vr.step(i) = hornerStep{gR, gI, fm * gR, fm * gI, b * ci[i], -b * si[i]}
+	}
+	vr.rp2 = rp * rp
+	vr.rpInv2 = 1 / vr.rp2
+	vr.rp2Guard = vr.rp2 * (1 + 1e-9)
 	return vr
 }
 
-// packHorner folds the four aggregate lanes into the step-major complex
-// coefficient slab AccumulateTile streams.
-func (vr *VictimRounds) packHorner() {
-	nm := vr.nm
-	vr.horner = make([]hornerStep, nm)
-	for i := 0; i < nm; i++ {
-		fm := float64(i + 2)
-		vr.horner[i] = hornerStep{
-			vr.ca[i], -vr.sa[i],
-			fm * vr.ca[i], -fm * vr.sa[i],
-			vr.cb[i], -vr.sb[i],
-		}
+// StressAtByRound returns the summed interactive stress of the packed
+// rounds at p, in MPa, evaluated one round at a time exactly as
+// PairEval.StressAt does from the geometry NewPairEval derives, never
+// from the aggregates: the pointwise reference path.
+func (vr *VictimRounds) StressAtByRound(p geom.Point) tensor.Stress {
+	vic := geom.Pt(vr.vicX, vr.vicY)
+	var s tensor.Stress
+	for g := vr.rounds; len(g) >= roundStride; g = g[roundStride:] {
+		s = s.Add(vr.mo.roundStressAt(vic, geom.Pt(g[0], g[1]), g[2], g[3], g[4], p))
 	}
-	vr.rp2 = vr.rPrime * vr.rPrime
-	vr.rpInv2 = 1 / vr.rp2
-	vr.rp2Guard = vr.rp2 * (1 + 1e-9)
+	return s
 }
 
 // NumRounds returns the number of packed (non-degenerate) rounds.
-func (vr *VictimRounds) NumRounds() int { return vr.rounds }
+func (vr *VictimRounds) NumRounds() int { return len(vr.rounds) / roundStride }
 
 // Vic returns the shared victim center.
 func (vr *VictimRounds) Vic() geom.Point { return geom.Pt(vr.vicX, vr.vicY) }
@@ -187,10 +197,11 @@ func (vr *VictimRounds) interiorAt(relX, relY, r float64) tensor.Stress {
 	cm := cphi*cphi - sphi*sphi
 	sm := 2 * sphi * cphi
 	var rr, tt, rt float64
+	inner := vr.mo.inner
 	for i := 0; i < vr.nm; i++ {
-		c := &vr.inner[i].core
+		c := &inner[i].core
 		if liner {
-			c = &vr.inner[i].liner
+			c = &inner[i].liner
 		}
 		fm := float64(i + 2)
 		ap, an := c.APos*pp, c.ANeg*pn
@@ -225,8 +236,8 @@ func (vr *VictimRounds) interiorAt(relX, relY, r float64) tensor.Stress {
 // arg w = φ), the aggregated series collapses to two complex
 // polynomials in w, each evaluated by Horner over the step-major slab:
 //
-//	S(w) = Σ_i γ_i w^{i+2},                γ_i = ca_i − i·sa_i
-//	U(w) = Σ_i ((i+2)·γ_i − inv2·β_i) w^{i+2},  β_i = cb_i − i·sb_i
+//	S(w) = Σ_i γ_i w^{i+2},                γ_i = ANeg_i·(ci_i − i·si_i)
+//	U(w) = Σ_i ((i+2)·γ_i − inv2·β_i) w^{i+2},  β_i = BNeg_i·(ci_i − i·si_i)
 //
 // where inv2 = R′²/d² = |w|² is fixed per point, so U's coefficients
 // fold on the fly inside one chain instead of running a third Horner
@@ -266,7 +277,6 @@ func (vr *VictimRounds) accumGo(px, py, sxx, syy, sxy []float64, pd2 float64, gu
 	n := len(px)
 	py, sxx, syy, sxy = py[:n], sxx[:n], syy[:n], sxy[:n]
 	vx, vy, rp := vr.vicX, vr.vicY, vr.rPrime
-	h := vr.horner
 	kFull := vr.nm - 1
 	// Estrin even/odd split: each chain is Horner in v = w² at half
 	// length over the even and the odd coefficient indices.
@@ -296,22 +306,22 @@ func (vr *VictimRounds) accumGo(px, py, sxx, syy, sxy []float64, pd2 float64, gu
 		inv2 := vr.rp2 * d2inv
 		w2R := wx*wx - wy*wy
 		w2I := 2 * wx * wy
-		c := &h[ke]
+		c := vr.step(ke)
 		sR, sI := c[0], c[1]
 		uR := c[2] - inv2*c[4]
 		uI := c[3] - inv2*c[5]
 		for o := ke - 2; o >= 0; o -= 2 {
-			c = &h[o]
+			c = vr.step(o)
 			sR, sI = sR*w2R-sI*w2I+c[0], sR*w2I+sI*w2R+c[1]
 			uR, uI = uR*w2R-uI*w2I+(c[2]-inv2*c[4]), uR*w2I+uI*w2R+(c[3]-inv2*c[5])
 		}
 		if ko >= 0 {
-			c = &h[ko]
+			c = vr.step(ko)
 			sOR, sOI := c[0], c[1]
 			uOR := c[2] - inv2*c[4]
 			uOI := c[3] - inv2*c[5]
 			for o := ko - 2; o >= 1; o -= 2 {
-				c = &h[o]
+				c = vr.step(o)
 				sOR, sOI = sOR*w2R-sOI*w2I+c[0], sOR*w2I+sOI*w2R+c[1]
 				uOR, uOI = uOR*w2R-uOI*w2I+(c[2]-inv2*c[4]), uOR*w2I+uOI*w2R+(c[3]-inv2*c[5])
 			}

@@ -9,32 +9,9 @@ import (
 	"tsvstress/internal/tensor"
 )
 
-// TestPitchCoeffCacheShares checks that rounds at bit-identical pitch
-// share one coefficient pair regardless of orientation.
-func TestPitchCoeffCacheShares(t *testing.T) {
-	mo, err := New(material.Baseline(material.BCB), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vic := geom.Pt(0, 0)
-	p1 := mo.NewPairEval(vic, geom.Pt(10, 0))
-	p2 := mo.NewPairEval(vic, geom.Pt(0, 10)) // same pitch, rotated 90°
-	p3 := mo.NewPairEval(geom.Pt(10, 0), vic) // reversed round, same pitch
-	p4 := mo.NewPairEval(vic, geom.Pt(12, 0)) // different pitch
-	if &p1.a[0] != &p2.a[0] || &p1.b[0] != &p3.b[0] {
-		t.Error("equal-pitch rounds must share cached coefficient slices")
-	}
-	if &p1.a[0] == &p4.a[0] {
-		t.Error("distinct pitches must not share coefficients")
-	}
-	entries, hits := mo.CoeffCacheStats()
-	if entries != 2 || hits != 2 {
-		t.Errorf("cache stats = (%d entries, %d hits), want (2, 2)", entries, hits)
-	}
-}
-
-// TestCachedPairEvalMatchesDirect pins the cached evaluator against the
-// general PairStress path outside the victim.
+// TestCachedPairEvalMatchesDirect pins the pointwise evaluator, which
+// folds the pitch into its radial recurrence, against the general
+// PairStress path outside the victim.
 func TestCachedPairEvalMatchesDirect(t *testing.T) {
 	mo, err := New(material.Baseline(material.BCB), 0)
 	if err != nil {
@@ -56,7 +33,8 @@ func TestCachedPairEvalMatchesDirect(t *testing.T) {
 
 // TestPackRoundsMatchesPerRoundSum pins the aggregated per-harmonic
 // evaluation against summing PairEval.StressAt round by round,
-// including the interior fallback.
+// including the interior fallback, and the packed rounds' own
+// round-by-round sum (StressAtByRound) against that sum bit for bit.
 func TestPackRoundsMatchesPerRoundSum(t *testing.T) {
 	mo, err := New(material.Baseline(material.BCB), 0)
 	if err != nil {
@@ -68,7 +46,7 @@ func TestPackRoundsMatchesPerRoundSum(t *testing.T) {
 	for _, a := range aggs {
 		evs = append(evs, mo.NewPairEval(vic, a))
 	}
-	vr := PackRounds(evs)
+	vr := mo.PackRounds(vic, aggs)
 	if vr == nil || vr.NumRounds() != len(aggs) {
 		t.Fatalf("PackRounds kept %v rounds", vr)
 	}
@@ -83,6 +61,9 @@ func TestPackRoundsMatchesPerRoundSum(t *testing.T) {
 		var want tensor.Stress
 		for k := range evs {
 			want = want.Add(evs[k].StressAt(p))
+		}
+		if got := vr.StressAtByRound(p); got != want {
+			t.Errorf("at %v: StressAtByRound %v vs per-round %v", p, got, want)
 		}
 		var got tensor.Stress
 		vr.AccumulateAt(p.X, p.Y, &got)
@@ -101,11 +82,20 @@ func TestPackRoundsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vr := PackRounds(nil); vr != nil {
-		t.Error("PackRounds(nil) must be nil")
+	if vr := mo.PackRounds(geom.Pt(0, 0), nil); vr != nil {
+		t.Error("PackRounds with no aggressors must be nil")
 	}
-	deg := mo.NewPairEval(geom.Pt(0, 0), geom.Pt(0, 0)) // zero pitch
-	if vr := PackRounds([]PairEval{deg}); vr != nil {
+	// Zero pitch: the aggressor sits on the victim center.
+	if vr := mo.PackRounds(geom.Pt(1, 2), []geom.Point{geom.Pt(1, 2)}); vr != nil {
 		t.Error("all-degenerate round set must pack to nil")
+	}
+	vr := mo.PackRounds(geom.Pt(1, 2), []geom.Point{geom.Pt(1, 2), geom.Pt(11, 2)})
+	if vr == nil || vr.NumRounds() != 1 {
+		t.Fatalf("degenerate round not dropped: %+v", vr)
+	}
+	p := geom.Pt(5, 9)
+	want := mo.NewPairEval(geom.Pt(1, 2), geom.Pt(11, 2))
+	if got := vr.StressAtByRound(p); got != want.StressAt(p) {
+		t.Errorf("StressAtByRound %v, the kept round alone %v", got, want.StressAt(p))
 	}
 }

@@ -20,7 +20,6 @@ package interact
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"tsvstress/internal/geom"
 	"tsvstress/internal/lame"
@@ -58,16 +57,11 @@ type Model struct {
 	// victim interior: the unit transmitted field minus the unit incident
 	// field, per region.
 	inner []innerCoeffs
-
-	// Pitch-keyed cache of scattered-coefficient slices shared by every
-	// pair round at the same pitch (the transfer coefficients depend on
-	// the structure and the pitch only). Keyed by the float64 bit
-	// pattern of the pitch, so sharing is exact and parity-safe: on
-	// regular arrays the handful of distinct center-to-center distances
-	// collapses thousands of per-round allocations to a few entries.
-	cacheMu    sync.Mutex
-	coeffCache map[uint64]pairCoeffs
-	cacheHits  int
+	// scatA[m−2] and scatB[m−2] are −(K/R′²)·(m−1) times the unit
+	// scattered coefficients units[m−2].sub.ANeg and .BNeg: a round at
+	// pitch d scatters a_m = scatA[m−2]·(R′/d)^m and b_m likewise, so
+	// the pointwise path folds (R′/d)^m into its running radial power.
+	scatA, scatB []float64
 }
 
 // innerCoeffs is one harmonic's interior profile coefficients for a unit
@@ -76,13 +70,6 @@ type Model struct {
 // at a victim shares them.
 type innerCoeffs struct {
 	liner, core potential.HarmCoeffs
-}
-
-// pairCoeffs is one cached entry: the per-harmonic scattered substrate
-// coefficients of a round at a fixed pitch (index m−2). The slices are
-// shared across rounds and must never be mutated.
-type pairCoeffs struct {
-	a, b []float64
 }
 
 // New builds the plane-stress model (the paper's device-layer setting),
@@ -105,8 +92,7 @@ func NewPlane(s material.Structure, mmax int, plane material.Plane) (*Model, err
 	if err != nil {
 		return nil, err
 	}
-	m := &Model{Struct: s, Plane: plane, Lame: sol, MMax: mmax,
-		coeffCache: make(map[uint64]pairCoeffs)}
+	m := &Model{Struct: s, Plane: plane, Lame: sol, MMax: mmax}
 	k := s.K() // scaled body radius (R′ = 1)
 	if k <= 0 || k >= 1 {
 		return nil, fmt.Errorf("interact: radius ratio k=%g outside (0,1)", k)
@@ -119,6 +105,9 @@ func NewPlane(s material.Structure, mmax int, plane material.Plane) (*Model, err
 		m.units = append(m.units, u)
 		inc := potential.HarmCoeffs{BPos: -1}
 		m.inner = append(m.inner, innerCoeffs{liner: u.liner.Add(inc), core: u.core.Add(inc)})
+		kr := -sol.K / (s.RPrime * s.RPrime) * float64(h-1)
+		m.scatA = append(m.scatA, kr*u.sub.ANeg)
+		m.scatB = append(m.scatB, kr*u.sub.BNeg)
 	}
 	return m, nil
 }

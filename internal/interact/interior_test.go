@@ -45,7 +45,7 @@ func TestInteriorAggregateMatchesPairStress(t *testing.T) {
 					aggs = append(aggs, a)
 					evs = append(evs, mo.NewPairEval(vic, a))
 				}
-				vr := PackRounds(evs)
+				vr := mo.PackRounds(vic, aggs)
 				if vr.NumRounds() != len(aggs) {
 					t.Fatalf("NumRounds = %d, want %d", vr.NumRounds(), len(aggs))
 				}

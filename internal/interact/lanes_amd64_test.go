@@ -73,13 +73,13 @@ func TestLaneKernelsBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		pack := func(c geom.Point) *VictimRounds {
-			var evs []PairEval
+			var aggs []geom.Point
 			for k := 1 + rng.Intn(4); k > 0; k-- {
 				ang := rng.Float64() * 2 * math.Pi
 				d := mo.MinPairPitch() + rng.Float64()*15
-				evs = append(evs, mo.NewPairEval(c, geom.Pt(c.X+d*math.Cos(ang), c.Y+d*math.Sin(ang))))
+				aggs = append(aggs, geom.Pt(c.X+d*math.Cos(ang), c.Y+d*math.Sin(ang)))
 			}
-			return PackRounds(evs)
+			return mo.PackRounds(c, aggs)
 		}
 		all := []*VictimRounds{pack(vic)}
 		for _, c := range others {

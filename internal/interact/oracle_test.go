@@ -9,10 +9,11 @@ import (
 // AccumulateAt is the scalar oracle AccumulateTile is tested against:
 // it adds the summed interactive stress of all packed rounds at
 // (px, py) into acc, one harmonic at a time in polar form with a single
-// rotation at the end. It matches summing PairEval.StressAt over the
-// rounds to round-off: the factorization on VictimRounds is an exact
-// trig identity, so only summation order and recurrence rounding
-// differ.
+// rotation at the end, from the incident aggregates and the model's
+// unit scattered coefficients (not from the Horner slab the kernels
+// stream). It matches summing PairEval.StressAt over the rounds to
+// round-off: the factorization on VictimRounds is an exact trig
+// identity, so only summation order and recurrence rounding differ.
 func (vr *VictimRounds) AccumulateAt(px, py float64, acc *tensor.Stress) {
 	relX := px - vr.vicX
 	relY := py - vr.vicY
@@ -31,10 +32,11 @@ func (vr *VictimRounds) AccumulateAt(px, py float64, acc *tensor.Stress) {
 	var rr, tt, rt float64
 	for i := 0; i < vr.nm; i++ {
 		fm := float64(i + 2)
-		ac := cm*vr.ca[i] + sm*vr.sa[i] // Σ_r a cos(mθ_r)
-		as := sm*vr.ca[i] - cm*vr.sa[i] // Σ_r a sin(mθ_r)
-		bc := (cm*vr.cb[i] + sm*vr.sb[i]) * inv2
-		bs := (sm*vr.cb[i] - cm*vr.sb[i]) * inv2
+		sub := vr.mo.units[i].sub
+		ic := cm*vr.ci[i] + sm*vr.si[i]    // Σ_r scale cos(mθ_r)
+		is := sm*vr.ci[i] - cm*vr.si[i]    // Σ_r scale sin(mθ_r)
+		ac, as := sub.ANeg*ic, sub.ANeg*is // Σ_r a cos(mθ_r), Σ_r a sin(mθ_r)
+		bc, bs := sub.BNeg*ic*inv2, sub.BNeg*is*inv2
 		rr += pm * ((2+fm)*ac - bc)
 		tt += pm * ((2-fm)*ac + bc)
 		rt += pm * (fm*as - bs)

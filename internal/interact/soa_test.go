@@ -15,14 +15,13 @@ import (
 func packRandom(t *testing.T, mo *Model, rng *rand.Rand, nAgg int) *VictimRounds {
 	t.Helper()
 	vic := geom.Pt(rng.Float64()*40-20, rng.Float64()*40-20)
-	evs := make([]PairEval, 0, nAgg)
-	for len(evs) < nAgg {
+	aggs := make([]geom.Point, 0, nAgg)
+	for len(aggs) < nAgg {
 		ang := rng.Float64() * 2 * math.Pi
 		d := mo.MinPairPitch() + rng.Float64()*20
-		agg := geom.Pt(vic.X+d*math.Cos(ang), vic.Y+d*math.Sin(ang))
-		evs = append(evs, mo.NewPairEval(vic, agg))
+		aggs = append(aggs, geom.Pt(vic.X+d*math.Cos(ang), vic.Y+d*math.Sin(ang)))
 	}
-	vr := PackRounds(evs)
+	vr := mo.PackRounds(vic, aggs)
 	if vr == nil {
 		t.Fatal("PackRounds returned nil for non-degenerate rounds")
 	}
@@ -119,13 +118,13 @@ func TestAccumulateTileBlockEdges(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(int64(mmax)))
 		rp := mo.Struct.RPrime
-		var evs []PairEval
+		var aggs []geom.Point
 		for k := 0; k < 4; k++ {
 			ang := rng.Float64() * 2 * math.Pi
 			d := mo.MinPairPitch() + rng.Float64()*15
-			evs = append(evs, mo.NewPairEval(vic, geom.Pt(vic.X+d*math.Cos(ang), vic.Y+d*math.Sin(ang))))
+			aggs = append(aggs, geom.Pt(vic.X+d*math.Cos(ang), vic.Y+d*math.Sin(ang)))
 		}
-		vr := PackRounds(evs)
+		vr := mo.PackRounds(vic, aggs)
 		at := func(r, ang float64) geom.Point {
 			return geom.Pt(vic.X+r*math.Cos(ang), vic.Y+r*math.Sin(ang))
 		}
@@ -191,7 +190,7 @@ func TestAccumulateTileLaneMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vr := PackRounds([]PairEval{mo.NewPairEval(geom.Pt(0, 0), geom.Pt(10, 0))})
+	vr := mo.PackRounds(geom.Pt(0, 0), []geom.Point{geom.Pt(10, 0)})
 	defer func() {
 		if recover() == nil {
 			t.Error("mismatched lane lengths must panic")

@@ -22,8 +22,6 @@ var (
 	metricEdits           = new(expvar.Int)   // applied edits
 	metricFlushes         = new(expvar.Int)   // incremental flushes
 	metricDirtyRatio      = new(expvar.Float) // dirty-point ratio of the last flush
-	metricCacheEnt        = new(expvar.Int)   // pitch-coefficient cache entries
-	metricCacheHits       = new(expvar.Int)   // pitch-coefficient cache hits
 	metricPanics          = new(expvar.Int)   // contained handler/kernel panics
 	metricQuarantined     = new(expvar.Int)   // currently quarantined sessions
 	metricDegraded        = new(expvar.Int)   // load-shedding (full→ls) flushes served
@@ -60,8 +58,6 @@ func init() {
 	m.Set("edits_total", metricEdits)
 	m.Set("flushes_total", metricFlushes)
 	m.Set("last_dirty_ratio", metricDirtyRatio)
-	m.Set("coeff_cache_entries", metricCacheEnt)
-	m.Set("coeff_cache_hits", metricCacheHits)
 	m.Set("panics_total", metricPanics)
 	m.Set("quarantined_sessions", metricQuarantined)
 	m.Set("degraded_responses_total", metricDegraded)
@@ -282,8 +278,6 @@ func windowMeanLatency(fallback time.Duration) time.Duration {
 func recordFlush(st incr.Stats, elapsed time.Duration) {
 	metricFlushes.Add(1)
 	metricDirtyRatio.Set(st.LastDirtyRatio)
-	metricCacheEnt.Set(int64(st.CoeffCacheEntries))
-	metricCacheHits.Set(int64(st.CoeffCacheHits))
 	editLatency.observe(elapsed)
 	editLatencyWindow.observe(elapsed)
 }

@@ -32,8 +32,8 @@
 // (header X-Tsvserve-Degraded) and heal on the next calm request.
 //
 // Observability: expvar metrics under "tsvserve" (see metrics.go) —
-// edit-latency histogram, dirty-point ratio of the last flush, shared
-// coefficient-cache stats, in-flight/rejected/panic/WAL counters.
+// edit-latency histogram, dirty-point ratio of the last flush,
+// in-flight/rejected/panic/WAL counters.
 package serve
 
 import (
